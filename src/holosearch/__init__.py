@@ -4,80 +4,13 @@ Direct search and simulated annealing over modulator pixel values, with an
 O(N) single-pixel replay update, a sorted-pixel-selection policy that orders
 candidate pixels by how much quantisation moved them, and a reproducible
 experiment harness (CSV traces, PGM images, seeded random streams).
-"""
 
-from .field import FresnelParams, as_field, delta_update, dft2, fresnel_premultiply, idft2
-from .metrics import (
-    ConvergenceTrace,
-    TraceSample,
-    final_error_improvement,
-    mse,
-    pearson,
-    relative_improvement,
-)
-from .pgm import CLAMP_UNIT, LINEAR_MAX, PgmError, load_pgm, save_pgm
-from .rng import (
-    STREAM_ACCEPTANCE,
-    STREAM_PHASE,
-    STREAM_PROPOSAL,
-    STREAM_SELECTION,
-    substream,
-)
-from .search import (
-    ALGO_DS_FAST,
-    ALGO_DS_NAIVE,
-    ALGO_SA,
-    ALGORITHMS,
-    SELECT_RANDOM,
-    SELECT_SPS,
-    SELECTIONS,
-    AnnealingSchedule,
-    RandomOrder,
-    SearchConfig,
-    SearchResult,
-    SortedOrder,
-    back_project,
-    boltzmann_accept,
-    direct_search,
-    next_pixel,
-    run_search,
-    simulated_annealing,
-    sps_order,
-)
-from .slm import (
-    AMPLITUDE,
-    PHASE,
-    ModulationScheme,
-    amplitude_levels,
-    change_map,
-    is_allowed,
-    phase_levels,
-    propose_value,
-    quantise,
-)
-from .targets import (
-    SYNTHETIC_BARS,
-    SYNTHETIC_MANDRILL,
-    SYNTHETIC_NAMES,
-    TargetImage,
-    induce_symmetry,
-    normalize_energy,
-    resample_nearest,
-    synthetic_bars,
-    synthetic_mandrill,
-    synthetic_target,
-)
-from .experiments import (
-    AbReport,
-    ExperimentConfig,
-    HistogramReport,
-    RenderReport,
-    ScatterReport,
-    prepare_target,
-    run_convergence_ab,
-    run_histograms,
-    run_render,
-    run_scatter_experiment,
-)
+Import from the submodules: ``holosearch.field`` (transforms and the
+single-pixel update), ``holosearch.slm`` (modulation schemes),
+``holosearch.search`` (``run_search``, the one search entry point),
+``holosearch.metrics``, ``holosearch.targets``, ``holosearch.pgm``,
+``holosearch.rng``, ``holosearch.experiments`` (the experiment drivers) and
+``holosearch.cli``.
+"""
 
 __version__ = "0.1.0"

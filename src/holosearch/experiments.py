@@ -27,11 +27,8 @@ from .pgm import CLAMP_UNIT, LINEAR_MAX, load_pgm, save_pgm
 from .rng import STREAM_PHASE, STREAM_SELECTION, substream
 from .search import (
     ALGO_DS_FAST,
-    ALGO_SA,
-    ALGORITHMS,
     SELECT_RANDOM,
     SELECT_SPS,
-    SELECTIONS,
     AnnealingSchedule,
     SearchConfig,
     back_project,
@@ -77,34 +74,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.resolution not in RESOLUTIONS:
             raise ValueError(f"resolution must be one of {RESOLUTIONS}, got {self.resolution}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.selection not in SELECTIONS:
-            raise ValueError(f"selection must be one of {SELECTIONS}, got {self.selection!r}")
-        if not isinstance(self.scheme, ModulationScheme):
-            raise ValueError(f"scheme must be a ModulationScheme, got {type(self.scheme).__name__}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.t_coeff is not None and not self.t_coeff > 0:
-            raise ValueError(f"t-coeff must be positive, got {self.t_coeff}")
-        if self.t0 is not None and not self.t0 > 0:
-            raise ValueError(f"t0 must be positive, got {self.t0}")
-        if self.trace_stride < 1:
-            raise ValueError(f"trace-stride must be >= 1, got {self.trace_stride}")
-        if self.recompute_interval < 1:
-            raise ValueError(f"recompute-interval must be >= 1, got {self.recompute_interval}")
         if self.scatter_samples < 1:
             raise ValueError(f"scatter-samples must be >= 1, got {self.scatter_samples}")
-        if self.algorithm != ALGO_SA and (self.t_coeff is not None or self.t0 is not None):
-            raise ValueError("--t-coeff/--t0 only apply to algorithm sa")
+        # SearchConfig and AnnealingSchedule validate every other field.
+        self.search_config()
 
     def search_config(self, selection: str | None = None) -> SearchConfig:
+        """The search these knobs describe, with ``selection`` in place of
+        config.selection when given. --t-coeff and --t0 build a custom
+        annealing schedule together; SearchConfig rejects one outside sa."""
         schedule = None
-        if self.algorithm == ALGO_SA and (self.t_coeff is not None or self.t0 is not None):
+        if self.t_coeff is not None or self.t0 is not None:
             if self.t_coeff is None or self.t0 is None:
-                raise ValueError("custom annealing needs both --t-coeff and --t0")
+                raise ValueError("a custom sa schedule needs both --t-coeff and --t0")
             schedule = AnnealingSchedule(self.t_coeff, self.t0, max(self.iterations, 1))
         return SearchConfig(
             iterations=self.iterations,
@@ -149,14 +133,15 @@ def write_trace_csv(trace: ConvergenceTrace, path) -> None:
             fh.write(f"{s.iteration},{s.mse:.17g},{s.accepted}\n")
 
 
-def _write_summary(path, entries: list[tuple[str, object]]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        for key, value in entries:
-            fh.write(f"{key} = {_fmt(value)}\n")
+def _artifact_paths(config: ExperimentConfig, *names: str) -> dict[str, str]:
+    """Create config.out_dir and map each artifact name, and summary.txt, to its path there."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    return {name: os.path.join(config.out_dir, name) for name in (*names, "summary.txt")}
 
 
-def _config_entries(config: ExperimentConfig) -> list[tuple[str, object]]:
-    return [
+def _write_summary(paths: dict[str, str], config: ExperimentConfig, extra: list[tuple[str, object]]) -> None:
+    """Write summary.txt: the config's key = value lines, then the driver's ``extra`` ones."""
+    entries = [
         ("image", config.image),
         ("resolution", config.resolution),
         ("scheme", config.scheme.name),
@@ -164,7 +149,10 @@ def _config_entries(config: ExperimentConfig) -> list[tuple[str, object]]:
         ("iterations", config.iterations),
         ("seed", config.seed),
         ("symmetry", config.symmetry),
-    ]
+    ] + extra
+    with open(paths["summary.txt"], "w", encoding="ascii", newline="") as fh:
+        for key, value in entries:
+            fh.write(f"{key} = {_fmt(value)}\n")
 
 
 @dataclass
@@ -216,7 +204,7 @@ def run_convergence_ab(config: ExperimentConfig) -> AbReport:
     policy differs. Writes trace_random.csv, trace_sps.csv, the two final
     replay magnitudes as PGM, and summary.txt.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
+    paths = _artifact_paths(config, "trace_random.csv", "trace_sps.csv", "replay_random.pgm", "replay_sps.pgm")
     target = prepare_target(config)
     t_start = time.perf_counter()
     result_random = run_search(target, config.search_config(SELECT_RANDOM), config.seed)
@@ -227,14 +215,12 @@ def run_convergence_ab(config: ExperimentConfig) -> AbReport:
         raise AssertionError("selection policies must share the starting error for one seed")
     by_reduction, by_final = ab_improvements(result_random.trace, result_sps.trace)
 
-    paths = {name: os.path.join(config.out_dir, name) for name in (
-        "trace_random.csv", "trace_sps.csv", "replay_random.pgm", "replay_sps.pgm", "summary.txt")}
     write_trace_csv(result_random.trace, paths["trace_random.csv"])
     write_trace_csv(result_sps.trace, paths["trace_sps.csv"])
     save_pgm(result_random.replay, paths["replay_random.pgm"], LINEAR_MAX)
     save_pgm(result_sps.replay, paths["replay_sps.pgm"], LINEAR_MAX)
 
-    entries = _config_entries(config) + [
+    _write_summary(paths, config, [
         ("initial_mse", result_random.trace.initial_mse),
         ("final_mse_random", result_random.final_mse),
         ("final_mse_sps", result_sps.final_mse),
@@ -245,8 +231,7 @@ def run_convergence_ab(config: ExperimentConfig) -> AbReport:
         ("accepted_random", result_random.accepted),
         ("accepted_sps", result_sps.accepted),
         ("wall_time_s", wall),
-    ]
-    _write_summary(paths["summary.txt"], entries)
+    ])
 
     return AbReport(
         initial_mse=result_random.trace.initial_mse,
@@ -316,7 +301,7 @@ def run_scatter_experiment(config: ExperimentConfig) -> ScatterReport:
     reports the Pearson correlation between fitted and observed changes.
     Writes scatter.csv (rows ordered by pixel index) and summary.txt.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
+    paths = _artifact_paths(config, "scatter.csv")
     target = prepare_target(config)
     aperture = back_project(target, substream(config.seed, STREAM_PHASE))
 
@@ -337,29 +322,26 @@ def run_scatter_experiment(config: ExperimentConfig) -> ScatterReport:
     correlation = pearson(coeff * d2, changes) if denom > 0 else float("nan")
     baseline = mse(target.mag, dft2(aperture))
 
-    csv_path = os.path.join(config.out_dir, "scatter.csv")
-    with open(csv_path, "w", encoding="ascii", newline="") as fh:
+    with open(paths["scatter.csv"], "w", encoding="ascii", newline="") as fh:
         fh.write(SCATTER_HEADER + "\n")
         for idx, delta, change in zip(indices, deltas, changes):
             fh.write(f"{int(idx)},{delta:.17g},{change:.17g}\n")
 
-    summary_path = os.path.join(config.out_dir, "summary.txt")
-    entries = _config_entries(config) + [
+    _write_summary(paths, config, [
         ("samples", len(indices)),
         ("fit_coefficient", coeff),
         ("pearson_fit_observed", correlation),
         ("baseline_mse", baseline),
         ("wall_time_s", wall),
-    ]
-    _write_summary(summary_path, entries)
+    ])
 
     return ScatterReport(
         n_samples=len(indices),
         fit_coefficient=coeff,
         pearson_fit_observed=correlation,
         baseline_mse=baseline,
-        csv_path=csv_path,
-        summary_path=summary_path,
+        csv_path=paths["scatter.csv"],
+        summary_path=paths["summary.txt"],
     )
 
 
@@ -399,21 +381,18 @@ def run_histograms(config: ExperimentConfig) -> HistogramReport:
     (over [-pi, pi]), and quantisation-change magnitudes for the configured
     scheme (over [0, max]); each histogram's counts sum to the pixel count.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
+    paths = _artifact_paths(config, "hist_magnitude.csv", "hist_angle.csv", "hist_change.csv")
     target = prepare_target(config)
     aperture = back_project(target, substream(config.seed, STREAM_PHASE))
     magnitudes = np.abs(aperture)
     angles = np.angle(aperture)
     changes = change_map(aperture, quantise(aperture, config.scheme))
 
-    paths = {name: os.path.join(config.out_dir, name) for name in (
-        "hist_magnitude.csv", "hist_angle.csv", "hist_change.csv", "summary.txt")}
     _write_histogram(paths["hist_magnitude.csv"], histogram_rows(magnitudes, 0.0, float(magnitudes.max())))
     _write_histogram(paths["hist_angle.csv"], histogram_rows(angles, -np.pi, np.pi))
     _write_histogram(paths["hist_change.csv"], histogram_rows(changes, 0.0, float(changes.max())))
 
-    entries = _config_entries(config) + [("pixels", magnitudes.size), ("bins", HISTOGRAM_BINS)]
-    _write_summary(paths["summary.txt"], entries)
+    _write_summary(paths, config, [("pixels", magnitudes.size), ("bins", HISTOGRAM_BINS)])
 
     return HistogramReport(
         magnitude_path=paths["hist_magnitude.csv"],
@@ -450,26 +429,23 @@ def hologram_to_image(hologram: np.ndarray, scheme: ModulationScheme) -> np.ndar
 
 def run_render(config: ExperimentConfig) -> RenderReport:
     """One search run; writes hologram.pgm, replay.pgm, trace.csv, summary.txt."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    paths = _artifact_paths(config, "hologram.pgm", "replay.pgm", "trace.csv")
     target = prepare_target(config)
     t_start = time.perf_counter()
     result = run_search(target, config.search_config(), config.seed)
     wall = time.perf_counter() - t_start
 
-    paths = {name: os.path.join(config.out_dir, name) for name in (
-        "hologram.pgm", "replay.pgm", "trace.csv", "summary.txt")}
     save_pgm(hologram_to_image(result.hologram, config.scheme), paths["hologram.pgm"], CLAMP_UNIT)
     save_pgm(result.replay, paths["replay.pgm"], LINEAR_MAX)
     write_trace_csv(result.trace, paths["trace.csv"])
 
-    entries = _config_entries(config) + [
+    _write_summary(paths, config, [
         ("selection", config.selection),
         ("initial_mse", result.initial_mse),
         ("final_mse", result.final_mse),
         ("accepted", result.accepted),
         ("wall_time_s", wall),
-    ]
-    _write_summary(paths["summary.txt"], entries)
+    ])
 
     return RenderReport(
         initial_mse=result.initial_mse,

@@ -12,7 +12,6 @@ transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,46 +52,6 @@ def dft2(f) -> np.ndarray:
 def idft2(f) -> np.ndarray:
     """Unitary inverse 2D DFT of a field (replay plane -> aperture plane)."""
     return np.fft.ifft2(as_field(f), norm="ortho")
-
-
-@dataclass(frozen=True)
-class FresnelParams:
-    """Geometry for finite-distance replay.
-
-    wavelength and pixel_pitch are in meters, distance is the aperture-to-replay
-    separation in meters (sign gives direction, but must be nonzero).
-    """
-
-    wavelength: float
-    distance: float
-    pixel_pitch: float
-
-    def __post_init__(self):
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
-        if self.distance == 0 or not math.isfinite(self.distance):
-            raise ValueError(f"distance must be nonzero and finite, got {self.distance}")
-        if not (self.pixel_pitch > 0 and math.isfinite(self.pixel_pitch)):
-            raise ValueError(f"pixel_pitch must be positive and finite, got {self.pixel_pitch}")
-
-
-def fresnel_premultiply(f, params: FresnelParams) -> np.ndarray:
-    """Apply the quadratic phase factor that turns the far-field transform into
-    a finite-distance (Fresnel) replay.
-
-    Each pixel is multiplied by ``exp(i*pi*(x^2 + y^2) / (wavelength*distance))``
-    where ``x = (ix - Nx/2) * pixel_pitch`` and likewise for y, so the phase is
-    centered on the grid midpoint. Magnitudes are unchanged; the center pixel
-    (x = y = 0) is exactly unchanged.
-
-    Returns a new array; the input is not modified.
-    """
-    arr = as_field(f)
-    ny, nx = arr.shape
-    x = (np.arange(nx) - nx / 2.0) * params.pixel_pitch
-    y = (np.arange(ny) - ny / 2.0) * params.pixel_pitch
-    r2 = x[None, :] ** 2 + y[:, None] ** 2
-    return arr * np.exp(1j * np.pi * r2 / (params.wavelength * params.distance))
 
 
 def delta_update(replay: np.ndarray, x: int, y: int, dh: complex) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Iterative hologram search: direct search and simulated annealing.
 
-All searches share one loop: start from a quantised random-phase
-back-projection of the target, then repeatedly pick a pixel, propose a
-different allowed value, score the candidate by phase-insensitive MSE, and
-keep or revert it. The variants differ only in two policies:
+:func:`run_search` is the single entry point. Direct search and annealing
+share one loop: start from a quantised random-phase back-projection of the
+target, then repeatedly pick a pixel, propose a different allowed value,
+score the candidate by phase-insensitive MSE, and keep or revert it. The
+variants differ only in two policies:
 
 * acceptance: direct search keeps strict improvements; simulated annealing
   also keeps a worsening candidate with Boltzmann probability
@@ -13,8 +14,8 @@ keep or revert it. The variants differ only in two policies:
   the list is exhausted.
 
 Scoring uses an O(N) single-pixel replay update rather than a full transform;
-``ds-naive`` runs the mathematically identical full-transform path and exists
-to cross-check the fast one decision-for-decision.
+``ds-naive`` runs the mathematically identical full-transform path in a loop
+of its own and exists to cross-check the fast one decision-for-decision.
 """
 
 from __future__ import annotations
@@ -199,43 +200,16 @@ class SearchResult:
     initial_mse: float = dataclass_field(default=float("nan"))
 
 
-def direct_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchResult:
-    """Run direct search: accept a candidate only when it strictly lowers the error.
-
-    config.algorithm selects the fast incremental path (``ds-fast``) or the
-    full-transform reference path (``ds-naive``); both make identical
-    accept/reject decisions for the same seed. The all-zero (degenerate)
-    target is valid and accepts nothing, since no single-pixel change can
-    lower its error.
-    """
-    if config.algorithm not in (ALGO_DS_NAIVE, ALGO_DS_FAST):
-        raise ValueError(f"direct_search needs a ds-* algorithm, got {config.algorithm!r}")
-    return _run_search(target, config, seed)
-
-
-def simulated_annealing(target: TargetImage, config: SearchConfig, seed: int) -> SearchResult:
-    """Run simulated annealing with Boltzmann acceptance under config.schedule.
-
-    With schedule=None a default is built over config.iterations with t0 = 6
-    and t_coeff = 8 * initial_error / pixel_count: one pixel change moves the
-    error by about 4/pixel_count energy units, so that starting temperature
-    admits a modest share of worsening moves early while e^-6 of it is cold
-    enough to end the run greedy. As t_coeff -> 0 the behavior converges to
-    direct search (worsening acceptance probability underflows to zero).
-    """
-    if config.algorithm != ALGO_SA:
-        raise ValueError(f"simulated_annealing needs algorithm {ALGO_SA!r}, got {config.algorithm!r}")
-    return _run_search(target, config, seed)
-
-
-def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchResult:
-    """Dispatch on config.algorithm."""
-    if config.algorithm == ALGO_SA:
-        return simulated_annealing(target, config, seed)
-    return direct_search(target, config, seed)
-
-
 def _default_schedule(initial_mse: float, n_pixels: int, iterations: int) -> AnnealingSchedule:
+    """Schedule for ``sa`` when config.schedule is None: t0 = 6 over config.iterations
+    and t_coeff = 8 * initial_error / pixel_count.
+
+    One pixel change moves the error by about 4/pixel_count energy units, so that
+    starting temperature admits a modest share of worsening moves early while
+    e^-6 of it is cold enough to end the run greedy. As t_coeff -> 0 the behavior
+    converges to direct search (worsening acceptance probability underflows to
+    zero).
+    """
     # Degenerate zero initial error still needs a positive temperature; any
     # tiny value keeps the run equivalent to direct search.
     t_coeff = 8.0 * initial_mse / n_pixels
@@ -244,27 +218,36 @@ def _default_schedule(initial_mse: float, n_pixels: int, iterations: int) -> Ann
     return AnnealingSchedule(t_coeff=t_coeff, t0=6.0, total_n=max(iterations, 1))
 
 
-def _run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchResult:
-    phase_rng = substream(seed, STREAM_PHASE)
+def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray, PixelOrder]:
+    """Set-up shared by every algorithm: the quantised random-phase
+    back-projection, its replay, and the pixel-selection order."""
+    projected = back_project(target, substream(seed, STREAM_PHASE))
+    hologram = quantise(projected, config.scheme)
+    replay = dft2(hologram)
+    order = sps_order(change_map(projected, hologram)) if config.selection == SELECT_SPS else RandomOrder()
+    return hologram, replay, order
+
+
+def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchResult:
+    """Run the search config.algorithm names.
+
+    ``sa`` anneals under config.schedule, or :func:`_default_schedule` when
+    that is None. ``ds-naive`` makes the same decisions as ``ds-fast`` for the
+    same seed. The all-zero (degenerate) target is valid and accepts nothing
+    under direct search, since no single-pixel change can lower its error.
+    """
+    if config.algorithm == ALGO_DS_NAIVE:
+        return _naive_search(target, config, seed)
+    hologram, replay, order = _start(target, config, seed)
     select_rng = substream(seed, STREAM_SELECTION)
     proposal_rng = substream(seed, STREAM_PROPOSAL)
     accept_rng = substream(seed, STREAM_ACCEPTANCE)
 
     height, width = target.shape
-    projected = back_project(target, phase_rng)
-    hologram = quantise(projected, config.scheme)
-    replay = dft2(hologram)
     target_mag = target.mag
-    current_mse = mse(target_mag, replay)
-    initial_mse = current_mse
-
-    if config.selection == SELECT_SPS:
-        order: PixelOrder = sps_order(change_map(projected, hologram))
-    else:
-        order = RandomOrder()
+    current_mse = initial_mse = mse(target_mag, replay)
 
     annealing = config.algorithm == ALGO_SA
-    fast = config.algorithm != ALGO_DS_NAIVE
     schedule = None
     if annealing:
         schedule = config.schedule or _default_schedule(initial_mse, width * height, config.iterations)
@@ -278,14 +261,8 @@ def _run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchR
         x, y = next_pixel(order, width, height, select_rng)
         old_value = hologram[y, x]
         new_value = propose_value(old_value, config.scheme, proposal_rng)
-
-        if fast:
-            increment = delta_update(replay, x, y, new_value - old_value)
-            candidate_mse = mse(target_mag, replay)
-        else:
-            hologram[y, x] = new_value
-            candidate_replay = dft2(hologram)
-            candidate_mse = mse(target_mag, candidate_replay)
+        increment = delta_update(replay, x, y, new_value - old_value)
+        candidate_mse = mse(target_mag, replay)
 
         if annealing:
             keep = boltzmann_accept(candidate_mse - current_mse, schedule.temperature(it - 1), accept_rng)
@@ -295,29 +272,44 @@ def _run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchR
         if keep:
             accepted += 1
             current_mse = candidate_mse
-            if fast:
-                hologram[y, x] = new_value
-                accepts_since_refresh += 1
-                if accepts_since_refresh >= config.recompute_interval:
-                    replay = dft2(hologram)
-                    current_mse = mse(target_mag, replay)
-                    accepts_since_refresh = 0
-            else:
-                replay = candidate_replay
+            hologram[y, x] = new_value
+            accepts_since_refresh += 1
+            if accepts_since_refresh >= config.recompute_interval:
+                replay = dft2(hologram)
+                current_mse = mse(target_mag, replay)
+                accepts_since_refresh = 0
         else:
-            if fast:
-                replay -= increment
-            else:
-                hologram[y, x] = old_value
+            replay -= increment
 
         if it % config.trace_stride == 0 or it == config.iterations:
             trace.append(it, current_mse, accepted)
 
-    return SearchResult(
-        hologram=hologram,
-        replay=replay,
-        trace=trace,
-        accepted=accepted,
-        final_mse=current_mse,
-        initial_mse=initial_mse,
-    )
+    return SearchResult(hologram, replay, trace, accepted, current_mse, initial_mse)
+
+
+def _naive_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchResult:
+    """``ds-naive``: direct search that scores each candidate with a full
+    transform of the changed hologram. It draws the same random numbers as
+    ``ds-fast`` and is the reference the fast path is tested against."""
+    hologram, replay, order = _start(target, config, seed)
+    select_rng = substream(seed, STREAM_SELECTION)
+    proposal_rng = substream(seed, STREAM_PROPOSAL)
+    height, width = target.shape
+    current_mse = initial_mse = mse(target.mag, replay)
+    trace = ConvergenceTrace()
+    trace.append(0, current_mse, 0)
+    accepted = 0
+    for it in range(1, config.iterations + 1):
+        x, y = next_pixel(order, width, height, select_rng)
+        old_value = hologram[y, x]
+        hologram[y, x] = propose_value(old_value, config.scheme, proposal_rng)
+        candidate_replay = dft2(hologram)
+        candidate_mse = mse(target.mag, candidate_replay)
+        if candidate_mse < current_mse:
+            accepted += 1
+            current_mse, replay = candidate_mse, candidate_replay
+        else:
+            hologram[y, x] = old_value
+        if it % config.trace_stride == 0 or it == config.iterations:
+            trace.append(it, current_mse, accepted)
+    return SearchResult(hologram, replay, trace, accepted, current_mse, initial_mse)

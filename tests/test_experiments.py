@@ -63,9 +63,10 @@ def test_config_validation():
 
 
 def test_config_custom_schedule_needs_both_knobs():
-    cfg = ExperimentConfig(algorithm="sa", t_coeff=0.5)
-    with pytest.raises(ValueError):
-        cfg.search_config()
+    with pytest.raises(ValueError, match="sa"):
+        ExperimentConfig(algorithm="sa", t_coeff=0.5)
+    with pytest.raises(ValueError, match="sa"):
+        ExperimentConfig(algorithm="sa", t0=3.0)
     full = ExperimentConfig(algorithm="sa", t_coeff=0.5, t0=3.0, iterations=10)
     sc = full.search_config()
     assert sc.schedule.t_coeff == 0.5

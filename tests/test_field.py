@@ -1,4 +1,4 @@
-"""Tests for the unitary transform pair, Fresnel factor and delta updates.
+"""Tests for the unitary transform pair and delta updates.
 
 The DFT oracle here is the literal quadruple loop over the defining sum,
 kept deliberately slow and independent of any FFT library.
@@ -9,14 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from holosearch.field import (
-    FresnelParams,
-    as_field,
-    delta_update,
-    dft2,
-    fresnel_premultiply,
-    idft2,
-)
+from holosearch.field import as_field, delta_update, dft2, idft2
 
 
 def dft2_loop(field):
@@ -131,60 +124,6 @@ def test_dft2_accepts_real_input():
     out = dft2(f)
     assert out.dtype == np.complex128
     assert np.max(np.abs(out - dft2_loop(f))) < 1e-12
-
-
-# ------------------------------------------------------------------- fresnel
-
-
-def test_fresnel_preserves_magnitude():
-    rng = np.random.default_rng(106)
-    f = random_field(rng, (8, 8))
-    params = FresnelParams(wavelength=633e-9, distance=0.25, pixel_pitch=8e-6)
-    out = fresnel_premultiply(f, params)
-    # phase-only factor: per-pixel |.|^2 must survive to the last few bits
-    np.testing.assert_allclose(np.abs(out) ** 2, np.abs(f) ** 2, rtol=1e-15)
-
-
-def test_fresnel_center_pixel_unchanged():
-    f = np.ones((4, 4), dtype=np.complex128)
-    params = FresnelParams(wavelength=633e-9, distance=0.5, pixel_pitch=8e-6)
-    out = fresnel_premultiply(f, params)
-    # r = 0 at the geometric centre, so the factor there is exactly 1
-    assert out[2, 2] == f[2, 2]
-
-
-def test_fresnel_scalar_oracle_4x4():
-    rng = np.random.default_rng(107)
-    f = random_field(rng, (4, 4))
-    wl, z, pitch = 633e-9, 0.5, 8e-6
-    out = fresnel_premultiply(f, FresnelParams(wl, z, pitch))
-    for iy in range(4):
-        for ix in range(4):
-            x = (ix - 2) * pitch
-            y = (iy - 2) * pitch
-            factor = complex(math.cos(math.pi * (x * x + y * y) / (wl * z)),
-                             math.sin(math.pi * (x * x + y * y) / (wl * z)))
-            assert abs(out[iy, ix] - f[iy, ix] * factor) < 1e-15
-
-
-def test_fresnel_input_not_mutated():
-    f = np.ones((4, 4), dtype=np.complex128)
-    keep = f.copy()
-    fresnel_premultiply(f, FresnelParams(633e-9, 0.5, 8e-6))
-    assert np.array_equal(f, keep)
-
-
-def test_fresnel_params_validation():
-    with pytest.raises(ValueError):
-        FresnelParams(wavelength=0.0, distance=0.5, pixel_pitch=8e-6)
-    with pytest.raises(ValueError):
-        FresnelParams(wavelength=633e-9, distance=0.0, pixel_pitch=8e-6)
-    with pytest.raises(ValueError):
-        FresnelParams(wavelength=633e-9, distance=0.5, pixel_pitch=-1e-6)
-    with pytest.raises(ValueError):
-        FresnelParams(wavelength=math.inf, distance=0.5, pixel_pitch=8e-6)
-    # negative distance (virtual image plane) is allowed
-    FresnelParams(wavelength=633e-9, distance=-0.5, pixel_pitch=8e-6)
 
 
 # -------------------------------------------------------------- delta_update

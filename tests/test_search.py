@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holosearch
 from holosearch.field import dft2
@@ -21,16 +23,15 @@ from holosearch.search import (
     ALGO_SA,
     SELECT_RANDOM,
     SELECT_SPS,
+    SELECTIONS,
     AnnealingSchedule,
     RandomOrder,
     SearchConfig,
     SortedOrder,
     back_project,
     boltzmann_accept,
-    direct_search,
     next_pixel,
     run_search,
-    simulated_annealing,
     sps_order,
 )
 from holosearch.slm import ModulationScheme, is_allowed
@@ -313,7 +314,7 @@ def test_search_config_validation():
 
 def test_direct_search_zero_iterations():
     t = small_target()
-    res = direct_search(t, SearchConfig(iterations=0, scheme=BINARY_PHASE), seed=0)
+    res = run_search(t, SearchConfig(iterations=0, scheme=BINARY_PHASE), seed=0)
     assert res.accepted == 0
     assert res.final_mse == res.initial_mse
     assert res.trace.samples[0].iteration == 0
@@ -325,7 +326,7 @@ def test_direct_search_zero_iterations():
 def test_direct_search_monotone_and_consistent():
     t = small_target()
     cfg = SearchConfig(iterations=400, scheme=BINARY_PHASE, trace_stride=10)
-    res = direct_search(t, cfg, seed=1)
+    res = run_search(t, cfg, seed=1)
     mses = [s.mse for s in res.trace.samples]
     assert all(a >= b - 1e-15 for a, b in zip(mses, mses[1:]))
     assert res.final_mse <= res.initial_mse
@@ -338,7 +339,7 @@ def test_direct_search_monotone_and_consistent():
 def test_trace_endpoints_always_sampled():
     t = small_target()
     cfg = SearchConfig(iterations=37, scheme=BINARY_PHASE, trace_stride=10)
-    res = direct_search(t, cfg, seed=2)
+    res = run_search(t, cfg, seed=2)
     its = [s.iteration for s in res.trace.samples]
     assert its[0] == 0
     assert its[-1] == 37
@@ -347,7 +348,7 @@ def test_trace_endpoints_always_sampled():
 def test_accepted_counts_match_trace():
     t = small_target()
     cfg = SearchConfig(iterations=300, scheme=BINARY_PHASE, trace_stride=1)
-    res = direct_search(t, cfg, seed=3)
+    res = run_search(t, cfg, seed=3)
     assert res.trace.final_accepted == res.accepted
     accepted_steps = [s.accepted for s in res.trace.samples]
     deltas = set(np.diff(accepted_steps).tolist())
@@ -357,8 +358,8 @@ def test_accepted_counts_match_trace():
 def test_seed_determinism_bitwise():
     t = small_target()
     cfg = SearchConfig(iterations=200, scheme=BINARY_PHASE)
-    a = direct_search(t, cfg, seed=9)
-    b = direct_search(t, cfg, seed=9)
+    a = run_search(t, cfg, seed=9)
+    b = run_search(t, cfg, seed=9)
     assert np.array_equal(a.hologram, b.hologram)
     assert np.array_equal(a.replay, b.replay)
     assert a.final_mse == b.final_mse
@@ -368,8 +369,8 @@ def test_seed_determinism_bitwise():
 def test_different_seeds_differ():
     t = small_target()
     cfg = SearchConfig(iterations=200, scheme=BINARY_PHASE)
-    a = direct_search(t, cfg, seed=0)
-    b = direct_search(t, cfg, seed=1)
+    a = run_search(t, cfg, seed=0)
+    b = run_search(t, cfg, seed=1)
     assert not np.array_equal(a.hologram, b.hologram)
 
 
@@ -396,6 +397,27 @@ def test_naive_and_fast_agree(selection):
         assert abs(naive.final_mse - fast.final_mse) / naive.final_mse < 1e-9
 
 
+@pytest.mark.parametrize("selection", SELECTIONS)
+@pytest.mark.parametrize("family", ["binary-phase", "phase", "binary-amplitude", "amplitude"])
+@settings(derandomize=True, deadline=None, max_examples=4, database=None)
+@given(height=st.integers(4, 12), width=st.integers(4, 12), levels=st.integers(3, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_naive_and_fast_agree_property(family, selection, height, width, levels, seed):
+    """The separate full-transform loop and the incremental loop stay in
+    step over shapes, every discrete scheme family, both selections and
+    seeds: same decisions, same hologram, final errors within 1e-9."""
+    scheme = ModulationScheme.from_name(family if family.startswith("binary") else f"{family}:{levels}")
+    rng = np.random.default_rng(seed)
+    t = normalize_energy(TargetImage(rng.random((height, width)) + 0.05))
+    runs = [run_search(t, SearchConfig(iterations=150, scheme=scheme, algorithm=algo,
+                                       selection=selection, trace_stride=1), seed)
+            for algo in (ALGO_DS_NAIVE, ALGO_DS_FAST)]
+    naive, fast = runs
+    assert [s.accepted for s in naive.trace.samples] == [s.accepted for s in fast.trace.samples]
+    assert np.array_equal(naive.hologram, fast.hologram)
+    assert abs(naive.final_mse - fast.final_mse) <= 1e-9 * naive.final_mse
+
+
 def test_sps_first_pass_covers_sorted_moves():
     """Under SPS the first Nx*Ny iterations test every pixel exactly once,
     in non-increasing change order."""
@@ -416,10 +438,10 @@ def test_sa_cold_schedule_equals_direct_search():
     # with an effectively zero temperature SA degenerates to strict descent
     t = small_target()
     sched = AnnealingSchedule(t_coeff=1e-300, t0=6.0, total_n=300)
-    sa = simulated_annealing(t, SearchConfig(
+    sa = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA,
         schedule=sched, trace_stride=1), seed=7)
-    ds = direct_search(t, SearchConfig(
+    ds = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, trace_stride=1), seed=7)
     assert np.array_equal(sa.hologram, ds.hologram)
     assert [s.accepted for s in sa.trace.samples] == \
@@ -428,11 +450,11 @@ def test_sa_cold_schedule_equals_direct_search():
 
 def test_sa_default_schedule_matches_explicit():
     t = small_target()
-    implicit = simulated_annealing(t, SearchConfig(
+    implicit = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA), seed=8)
     e0 = implicit.initial_mse
     sched = AnnealingSchedule(t_coeff=8.0 * e0 / 256, t0=6.0, total_n=300)
-    explicit = simulated_annealing(t, SearchConfig(
+    explicit = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA,
         schedule=sched), seed=8)
     assert np.array_equal(implicit.hologram, explicit.hologram)
@@ -442,10 +464,10 @@ def test_sa_default_schedule_matches_explicit():
 def test_sa_hot_schedule_accepts_worsening_moves():
     t = small_target()
     hot = AnnealingSchedule(t_coeff=10.0, t0=1e-9, total_n=400)
-    sa = simulated_annealing(t, SearchConfig(
+    sa = run_search(t, SearchConfig(
         iterations=400, scheme=BINARY_PHASE, algorithm=ALGO_SA,
         schedule=hot, trace_stride=1), seed=9)
-    ds = direct_search(t, SearchConfig(
+    ds = run_search(t, SearchConfig(
         iterations=400, scheme=BINARY_PHASE, trace_stride=1), seed=9)
     # near-infinite temperature accepts almost everything
     assert sa.accepted > ds.accepted
@@ -455,7 +477,7 @@ def test_sa_hot_schedule_accepts_worsening_moves():
 
 def test_sa_final_state_consistent():
     t = small_target()
-    res = simulated_annealing(t, SearchConfig(
+    res = run_search(t, SearchConfig(
         iterations=500, scheme=BINARY_PHASE, algorithm=ALGO_SA), seed=10)
     fresh = mse(t.mag, dft2(res.hologram))
     assert abs(res.final_mse - fresh) / fresh < 1e-9
@@ -463,17 +485,6 @@ def test_sa_final_state_consistent():
 
 
 # ---------------------------------------------------------------- run_search
-
-
-def test_run_search_dispatch():
-    t = small_target()
-    for algo, fn in [(ALGO_DS_NAIVE, direct_search),
-                     (ALGO_DS_FAST, direct_search),
-                     (ALGO_SA, simulated_annealing)]:
-        cfg = SearchConfig(iterations=50, scheme=BINARY_PHASE, algorithm=algo)
-        a = run_search(t, cfg, seed=11)
-        b = fn(t, cfg, seed=11)
-        assert np.array_equal(a.hologram, b.hologram)
 
 
 def test_run_search_other_schemes():
