@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from .experiments import (
     ExperimentConfig,
+    format_entry,
     run_convergence_ab,
     run_histograms,
     run_render,
@@ -47,6 +49,32 @@ _CONFIG_KEYS = {
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
+
+
+class _Subcommand(NamedTuple):
+    help: str
+    driver: Callable
+    defaults: dict  # overrides of ExperimentConfig's defaults
+    printed: tuple[str, ...]  # report fields printed as key = value lines
+    announced: tuple[str, ...]  # artifacts printed as "wrote <path>"
+
+
+_SUBCOMMANDS = {
+    "run-ab": _Subcommand(
+        "compare random vs sorted pixel selection on one configuration", run_convergence_ab, {},
+        ("initial_mse", "final_mse_random", "final_mse_sps", "improvement_error_reduction",
+         "accepted_random", "accepted_sps"),
+        ("summary.txt",)),
+    "scatter": _Subcommand(
+        "single-pixel quantisation-change vs error-change scatter", run_scatter_experiment,
+        {"scheme": "phase:cont"}, ("samples", "fit_coefficient", "pearson_fit_observed"), ("scatter.csv",)),
+    "hist": _Subcommand(
+        "back-projection magnitude, angle, and change histograms", run_histograms, {},
+        ("pixels",), ("hist_magnitude.csv", "hist_angle.csv", "hist_change.csv")),
+    "render": _Subcommand(
+        "one search run; writes hologram and replay images", run_render, {},
+        ("initial_mse", "final_mse", "accepted"), ("hologram.pgm", "replay.pgm")),
+}
 
 
 def parse_config_file(path) -> dict:
@@ -92,7 +120,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--iterations", type=int, help="search iterations")
     sub.add_argument("--seed", type=int, help="master seed for all random streams")
     sub.add_argument("--symmetry", action="store_const", const=True,
-                     help="max the target with its 180-degree rotation")
+                     help="max the target with its reflection through the DFT origin")
     sub.add_argument("--t-coeff", type=float, help="annealing start temperature (sa only)")
     sub.add_argument("--t0", type=float, help="annealing decay constant (sa only)")
     sub.add_argument("--out-dir", help="output directory (created if missing)")
@@ -108,27 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Search-based hologram optimization experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run-ab", "compare random vs sorted pixel selection on one configuration"),
-        ("scatter", "single-pixel quantisation-change vs error-change scatter"),
-        ("hist", "back-projection magnitude, angle, and change histograms"),
-        ("render", "one search run; writes hologram and replay images"),
-    ):
-        _add_common_flags(sub.add_parser(name, help=help_text))
+    for name, subcommand in _SUBCOMMANDS.items():
+        _add_common_flags(sub.add_parser(name, help=subcommand.help))
     return parser
 
 
-# Per-subcommand default overrides; everything else comes from ExperimentConfig.
-_SUBCOMMAND_DEFAULTS = {
-    "run-ab": {},
-    "scatter": {"scheme": "phase:cont"},
-    "hist": {},
-    "render": {},
-}
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    options = dict(_SUBCOMMAND_DEFAULTS[args.command])
+    options = dict(_SUBCOMMANDS[args.command].defaults)
     if args.config:
         options.update(parse_config_file(args.config))
     for key in _CONFIG_KEYS:
@@ -148,35 +162,13 @@ def main(argv=None) -> int:
         print(f"holo: {exc}", file=sys.stderr)
         return 2
 
+    subcommand = _SUBCOMMANDS[args.command]
     try:
-        if args.command == "run-ab":
-            report = run_convergence_ab(config)
-            print(f"initial_mse = {report.initial_mse:.17g}")
-            print(f"final_mse_random = {report.final_mse_random:.17g}")
-            print(f"final_mse_sps = {report.final_mse_sps:.17g}")
-            print(f"improvement_error_reduction = {report.improvement_error_reduction:.17g}")
-            print(f"accepted_random = {report.accepted_random}")
-            print(f"accepted_sps = {report.accepted_sps}")
-            print(f"wrote {report.summary_path}")
-        elif args.command == "scatter":
-            report = run_scatter_experiment(config)
-            print(f"samples = {report.n_samples}")
-            print(f"fit_coefficient = {report.fit_coefficient:.17g}")
-            print(f"pearson_fit_observed = {report.pearson_fit_observed:.17g}")
-            print(f"wrote {report.csv_path}")
-        elif args.command == "hist":
-            report = run_histograms(config)
-            print(f"pixels = {report.n_pixels}")
-            print(f"wrote {report.magnitude_path}")
-            print(f"wrote {report.angle_path}")
-            print(f"wrote {report.change_path}")
-        else:
-            report = run_render(config)
-            print(f"initial_mse = {report.initial_mse:.17g}")
-            print(f"final_mse = {report.final_mse:.17g}")
-            print(f"accepted = {report.accepted}")
-            print(f"wrote {report.hologram_path}")
-            print(f"wrote {report.replay_path}")
+        report = subcommand.driver(config)
+        for name in subcommand.printed:
+            print(format_entry(name, getattr(report, name)))
+        for name in subcommand.announced:
+            print(f"wrote {report.paths[name]}")
         return 0
     except (ValueError, OSError) as exc:
         print(f"holo: {exc}", file=sys.stderr)

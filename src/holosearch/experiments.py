@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,12 +117,13 @@ def prepare_target(config: ExperimentConfig) -> TargetImage:
     return normalize_energy(img)
 
 
-def _fmt(value) -> str:
+def format_entry(key: str, value) -> str:
+    """One ``key = value`` line of summary.txt or of ``holo``'s stdout."""
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return f"{key} = {value:.17g}"
     if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+        return f"{key} = {'true' if value else 'false'}"
+    return f"{key} = {value}"
 
 
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
@@ -139,8 +140,9 @@ def _artifact_paths(config: ExperimentConfig, *names: str) -> dict[str, str]:
     return {name: os.path.join(config.out_dir, name) for name in (*names, "summary.txt")}
 
 
-def _write_summary(paths: dict[str, str], config: ExperimentConfig, extra: list[tuple[str, object]]) -> None:
-    """Write summary.txt: the config's key = value lines, then the driver's ``extra`` ones."""
+def _write_summary(config: ExperimentConfig, report) -> None:
+    """Write summary.txt: the config's key = value lines, then one line per
+    report field in declaration order (all but ``paths``)."""
     entries = [
         ("image", config.image),
         ("resolution", config.resolution),
@@ -149,29 +151,29 @@ def _write_summary(paths: dict[str, str], config: ExperimentConfig, extra: list[
         ("iterations", config.iterations),
         ("seed", config.seed),
         ("symmetry", config.symmetry),
-    ] + extra
-    with open(paths["summary.txt"], "w", encoding="ascii", newline="") as fh:
+    ] + [(f.name, getattr(report, f.name)) for f in fields(report) if f.name != "paths"]
+    with open(report.paths["summary.txt"], "w", encoding="ascii", newline="") as fh:
         for key, value in entries:
-            fh.write(f"{key} = {_fmt(value)}\n")
+            fh.write(format_entry(key, value) + "\n")
 
 
 @dataclass
 class AbReport:
-    """Numbers and file paths from one A/B selection comparison."""
+    """One A/B selection comparison. Like every driver's report, its fields
+    are summary.txt's driver lines in order, and ``paths`` maps each artifact
+    name (summary.txt included) to its file."""
 
     initial_mse: float
     final_mse_random: float
     final_mse_sps: float
+    error_reduction_random: float
+    error_reduction_sps: float
     improvement_error_reduction: float
     improvement_final_error: float
     accepted_random: int
     accepted_sps: int
     wall_time_s: float
-    trace_random_path: str
-    trace_sps_path: str
-    replay_random_path: str
-    replay_sps_path: str
-    summary_path: str
+    paths: dict[str, str]
 
 
 def ab_improvements(baseline: ConvergenceTrace, variant: ConvergenceTrace) -> tuple[float, float]:
@@ -220,57 +222,45 @@ def run_convergence_ab(config: ExperimentConfig) -> AbReport:
     save_pgm(result_random.replay, paths["replay_random.pgm"], LINEAR_MAX)
     save_pgm(result_sps.replay, paths["replay_sps.pgm"], LINEAR_MAX)
 
-    _write_summary(paths, config, [
-        ("initial_mse", result_random.trace.initial_mse),
-        ("final_mse_random", result_random.final_mse),
-        ("final_mse_sps", result_sps.final_mse),
-        ("error_reduction_random", result_random.trace.initial_mse - result_random.final_mse),
-        ("error_reduction_sps", result_sps.trace.initial_mse - result_sps.final_mse),
-        ("improvement_error_reduction", by_reduction),
-        ("improvement_final_error", by_final),
-        ("accepted_random", result_random.accepted),
-        ("accepted_sps", result_sps.accepted),
-        ("wall_time_s", wall),
-    ])
-
-    return AbReport(
+    report = AbReport(
         initial_mse=result_random.trace.initial_mse,
         final_mse_random=result_random.final_mse,
         final_mse_sps=result_sps.final_mse,
+        error_reduction_random=result_random.trace.initial_mse - result_random.final_mse,
+        error_reduction_sps=result_sps.trace.initial_mse - result_sps.final_mse,
         improvement_error_reduction=by_reduction,
         improvement_final_error=by_final,
         accepted_random=result_random.accepted,
         accepted_sps=result_sps.accepted,
         wall_time_s=wall,
-        trace_random_path=paths["trace_random.csv"],
-        trace_sps_path=paths["trace_sps.csv"],
-        replay_random_path=paths["replay_random.pgm"],
-        replay_sps_path=paths["replay_sps.pgm"],
-        summary_path=paths["summary.txt"],
+        paths=paths,
     )
+    _write_summary(config, report)
+    return report
 
 
 @dataclass
 class ScatterReport:
     """Square-law check: per-pixel quantisation change vs error change."""
 
-    n_samples: int
+    samples: int
     fit_coefficient: float
     pearson_fit_observed: float
     baseline_mse: float
-    csv_path: str
-    summary_path: str
+    wall_time_s: float
+    paths: dict[str, str]
 
 
 def scatter_sweep(
     target: TargetImage, aperture: np.ndarray, scheme: ModulationScheme, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-pixel effect of quantising single aperture pixels.
 
     For each flat pixel index, the unquantised aperture has that one pixel
     replaced by its quantised value; returned are the quantisation-change
-    magnitudes ``delta`` and the resulting changes in replay error relative to
-    the unquantised aperture. One O(N) replay update per pixel.
+    magnitudes ``delta``, the resulting changes in replay error, and the
+    replay error of the unquantised aperture they are relative to. One O(N)
+    replay update per pixel.
     """
     quantised = quantise(aperture, scheme)
     deltas_all = change_map(aperture, quantised).ravel()
@@ -289,7 +279,7 @@ def scatter_sweep(
         delta_update(scratch, idx % width, idx // width, quantised_flat[idx] - aperture_flat[idx])
         deltas[row] = deltas_all[idx]
         changes[row] = mse(target.mag, scratch) - baseline
-    return deltas, changes
+    return deltas, changes, baseline
 
 
 def run_scatter_experiment(config: ExperimentConfig) -> ScatterReport:
@@ -313,45 +303,31 @@ def run_scatter_experiment(config: ExperimentConfig) -> ScatterReport:
         indices = np.sort(picker.choice(n_pixels, size=config.scatter_samples, replace=False))
 
     t_start = time.perf_counter()
-    deltas, changes = scatter_sweep(target, aperture, config.scheme, indices)
+    deltas, changes, baseline = scatter_sweep(target, aperture, config.scheme, indices)
     wall = time.perf_counter() - t_start
 
     d2 = deltas * deltas
     denom = float(d2 @ d2)
     coeff = float(d2 @ changes) / denom if denom > 0 else float("nan")
     correlation = pearson(coeff * d2, changes) if denom > 0 else float("nan")
-    baseline = mse(target.mag, dft2(aperture))
 
     with open(paths["scatter.csv"], "w", encoding="ascii", newline="") as fh:
         fh.write(SCATTER_HEADER + "\n")
         for idx, delta, change in zip(indices, deltas, changes):
             fh.write(f"{int(idx)},{delta:.17g},{change:.17g}\n")
 
-    _write_summary(paths, config, [
-        ("samples", len(indices)),
-        ("fit_coefficient", coeff),
-        ("pearson_fit_observed", correlation),
-        ("baseline_mse", baseline),
-        ("wall_time_s", wall),
-    ])
-
-    return ScatterReport(
-        n_samples=len(indices),
-        fit_coefficient=coeff,
-        pearson_fit_observed=correlation,
-        baseline_mse=baseline,
-        csv_path=paths["scatter.csv"],
-        summary_path=paths["summary.txt"],
-    )
+    report = ScatterReport(len(indices), coeff, correlation, baseline, wall, paths)
+    _write_summary(config, report)
+    return report
 
 
 @dataclass
 class HistogramReport:
-    magnitude_path: str
-    angle_path: str
-    change_path: str
-    summary_path: str
-    n_pixels: int
+    """Back-projection histograms: pixel count and bins per histogram."""
+
+    pixels: int
+    bins: int
+    paths: dict[str, str]
 
 
 def histogram_rows(values: np.ndarray, lo: float, hi: float) -> list[tuple[float, float, int]]:
@@ -392,27 +368,21 @@ def run_histograms(config: ExperimentConfig) -> HistogramReport:
     _write_histogram(paths["hist_angle.csv"], histogram_rows(angles, -np.pi, np.pi))
     _write_histogram(paths["hist_change.csv"], histogram_rows(changes, 0.0, float(changes.max())))
 
-    _write_summary(paths, config, [("pixels", magnitudes.size), ("bins", HISTOGRAM_BINS)])
-
-    return HistogramReport(
-        magnitude_path=paths["hist_magnitude.csv"],
-        angle_path=paths["hist_angle.csv"],
-        change_path=paths["hist_change.csv"],
-        summary_path=paths["summary.txt"],
-        n_pixels=magnitudes.size,
-    )
+    report = HistogramReport(magnitudes.size, HISTOGRAM_BINS, paths)
+    _write_summary(config, report)
+    return report
 
 
 @dataclass
 class RenderReport:
+    """One search run and its rendered hologram and replay."""
+
+    selection: str
     initial_mse: float
     final_mse: float
     accepted: int
     wall_time_s: float
-    hologram_path: str
-    replay_path: str
-    trace_path: str
-    summary_path: str
+    paths: dict[str, str]
 
 
 def hologram_to_image(hologram: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
@@ -439,21 +409,6 @@ def run_render(config: ExperimentConfig) -> RenderReport:
     save_pgm(result.replay, paths["replay.pgm"], LINEAR_MAX)
     write_trace_csv(result.trace, paths["trace.csv"])
 
-    _write_summary(paths, config, [
-        ("selection", config.selection),
-        ("initial_mse", result.initial_mse),
-        ("final_mse", result.final_mse),
-        ("accepted", result.accepted),
-        ("wall_time_s", wall),
-    ])
-
-    return RenderReport(
-        initial_mse=result.initial_mse,
-        final_mse=result.final_mse,
-        accepted=result.accepted,
-        wall_time_s=wall,
-        hologram_path=paths["hologram.pgm"],
-        replay_path=paths["replay.pgm"],
-        trace_path=paths["trace.csv"],
-        summary_path=paths["summary.txt"],
-    )
+    report = RenderReport(config.selection, result.initial_mse, result.final_mse, result.accepted, wall, paths)
+    _write_summary(config, report)
+    return report

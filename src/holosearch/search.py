@@ -21,7 +21,7 @@ of its own and exists to cross-check the fast one decision-for-decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,7 +197,7 @@ class SearchResult:
     trace: ConvergenceTrace
     accepted: int
     final_mse: float
-    initial_mse: float = dataclass_field(default=float("nan"))
+    initial_mse: float
 
 
 def _default_schedule(initial_mse: float, n_pixels: int, iterations: int) -> AnnealingSchedule:

@@ -76,13 +76,15 @@ def normalize_energy(img: TargetImage) -> TargetImage:
 
 
 def induce_symmetry(img: TargetImage) -> TargetImage:
-    """Pointwise max of the image and its 180-degree rotation.
+    """Pointwise max of the image and its reflection through the DFT origin,
+    which maps pixel (v, u) to ((-v) mod height, (-u) mod width).
 
-    The result equals its own rotation, which matters for binary-phase
-    devices: their replay fields are conjugate-symmetric, so only targets with
-    this symmetry are reachable. Idempotent; never darkens a pixel.
+    The result equals its own reflection, which matters for real apertures
+    (binary phase and every amplitude scheme): their replay fields are
+    conjugate-symmetric about the origin, so only targets with this symmetry
+    are reachable. Idempotent; never darkens a pixel.
     """
-    return TargetImage(np.maximum(img.mag, img.mag[::-1, ::-1]))
+    return TargetImage(np.maximum(img.mag, np.roll(img.mag[::-1, ::-1], 1, axis=(0, 1))))
 
 
 def resample_nearest(img: TargetImage, height: int, width: int) -> TargetImage:

@@ -108,8 +108,8 @@ def test_criterion_3_square_law_correlation(tmp_path):
     report = run_scatter_experiment(cfg)
     elapsed = time.perf_counter() - t_start
     print(f"\ncriterion 3: pearson {report.pearson_fit_observed:.6f} "
-          f"(needs >= 0.95), {report.n_samples} samples, {elapsed:.1f}s")
-    assert report.n_samples == 10_000
+          f"(needs >= 0.95), {report.samples} samples, {elapsed:.1f}s")
+    assert report.samples == 10_000
     assert report.pearson_fit_observed >= 0.95
     assert elapsed < 60.0
 

@@ -4,13 +4,13 @@ The benchmark's own tests are not collected by default (``testpaths`` is
 ``tests``), so a refactor could break it silently. It drives the package
 through the names pinned here: it wraps ``experiments.run_search`` to record
 each search a driver makes, it times layers by patching names where their
-callers look them up, and it reads these ``SearchResult`` fields.
+callers look them up, and it reads these ``SearchResult`` and report fields.
 """
 
 import dataclasses
 
 from holosearch import experiments, search
-from holosearch.experiments import ExperimentConfig, run_convergence_ab, run_render
+from holosearch.experiments import AbReport, ExperimentConfig, RenderReport, run_convergence_ab, run_render
 from holosearch.search import SELECT_RANDOM, SELECT_SPS, SearchResult
 
 # (module, attribute) pairs the benchmark's layer hooks patch.
@@ -60,3 +60,14 @@ def test_zero_iteration_search_config_constructs():
 def test_search_result_fields():
     fields = {f.name for f in dataclasses.fields(SearchResult)}
     assert {"hologram", "replay", "trace", "accepted", "final_mse", "initial_mse"} <= fields
+
+
+def test_report_fields():
+    """The benchmark reads the sps arm's error as ``final_mse_sps`` when a
+    report has that field and as ``final_mse`` otherwise, and the search time
+    as ``wall_time_s``."""
+    ab = {f.name for f in dataclasses.fields(AbReport)}
+    render = {f.name for f in dataclasses.fields(RenderReport)}
+    assert {"final_mse_sps", "wall_time_s"} <= ab
+    assert {"final_mse", "wall_time_s"} <= render
+    assert "final_mse_sps" not in render

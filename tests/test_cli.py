@@ -61,6 +61,52 @@ def test_render_end_to_end(tmp_path, capsys):
     assert "final_mse = " in capsys.readouterr().out
 
 
+CONFIG_KEYS = ["image", "resolution", "scheme", "algorithm", "iterations", "seed", "symmetry"]
+
+# Per subcommand: the key = value lines it prints, the artifacts it announces
+# with "wrote", and the driver keys summary.txt lists after the config keys.
+LAYOUT = {
+    "run-ab": (
+        ["initial_mse", "final_mse_random", "final_mse_sps", "improvement_error_reduction",
+         "accepted_random", "accepted_sps"],
+        ["summary.txt"],
+        ["initial_mse", "final_mse_random", "final_mse_sps", "error_reduction_random",
+         "error_reduction_sps", "improvement_error_reduction", "improvement_final_error",
+         "accepted_random", "accepted_sps", "wall_time_s"]),
+    "scatter": (
+        ["samples", "fit_coefficient", "pearson_fit_observed"],
+        ["scatter.csv"],
+        ["samples", "fit_coefficient", "pearson_fit_observed", "baseline_mse", "wall_time_s"]),
+    "hist": (
+        ["pixels"],
+        ["hist_magnitude.csv", "hist_angle.csv", "hist_change.csv"],
+        ["pixels", "bins"]),
+    "render": (
+        ["initial_mse", "final_mse", "accepted"],
+        ["hologram.pgm", "replay.pgm"],
+        ["selection", "initial_mse", "final_mse", "accepted", "wall_time_s"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LAYOUT))
+def test_stdout_and_summary_layout(command, tmp_path, capsys):
+    """Each subcommand prints its report lines exactly as summary.txt has them,
+    then one "wrote" line per announced artifact; summary.txt lists the config
+    keys, then the driver's, in a fixed order."""
+    printed, announced, driver_keys = LAYOUT[command]
+    out = tmp_path / command
+    rc = run_cli([command, "--resolution", 64, "--iterations", 60,
+                  "--scatter-samples", 300, "--out-dir", out])
+    assert rc == 0
+    stdout = capsys.readouterr().out.splitlines()
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in stdout[:len(printed)]] == printed
+    assert stdout[len(printed):] == [f"wrote {out}/{name}" for name in announced]
+    assert [line.split(" = ")[0] for line in summary] == CONFIG_KEYS + driver_keys
+    for line in stdout[:len(printed)]:
+        assert line in summary, line
+
+
 def test_symmetry_flag(tmp_path):
     out = tmp_path / "s"
     rc = run_cli(["render", "--resolution", 64, "--iterations", 0,

@@ -1,6 +1,7 @@
 """Tests for the experiment drivers: A/B convergence, scatter, histograms,
 render, and the artifact files they write."""
 
+import dataclasses
 import math
 import os
 
@@ -87,7 +88,7 @@ def test_prepare_target_builtin():
 def test_prepare_target_symmetry():
     cfg = ExperimentConfig(resolution=64, symmetry=True)
     t = prepare_target(cfg)
-    assert np.array_equal(t.mag, t.mag[::-1, ::-1])
+    assert np.array_equal(t.mag, np.roll(t.mag[::-1, ::-1], 1, axis=(0, 1)))
     assert abs(t.energy / (64 * 64) - 1.0) < 1e-12
 
 
@@ -130,6 +131,28 @@ def test_ab_improvements_degenerate_baseline_is_nan():
     by_reduction, by_final = ab_improvements(base, var)
     assert math.isnan(by_reduction)
     assert abs(by_final - 0.5) < 1e-12
+
+
+# --------------------------------------------------------- reports and summaries
+
+
+@pytest.mark.parametrize("driver", [run_convergence_ab, run_scatter_experiment,
+                                    run_histograms, run_render], ids=lambda d: d.__name__)
+def test_summary_driver_lines_are_the_report_fields(driver, tmp_path):
+    """After the seven config lines, summary.txt holds one line per report
+    field in declaration order, each value read back exactly; ``paths`` names
+    every file the driver wrote."""
+    report = driver(fast_config(tmp_path, scatter_samples=300))
+    out = tmp_path / "out"
+    lines = (out / "summary.txt").read_text().splitlines()[7:]
+    names = [f.name for f in dataclasses.fields(report) if f.name != "paths"]
+    assert [line.split(" = ")[0] for line in lines] == names
+    for line, name in zip(lines, names):
+        value, text = getattr(report, name), line.split(" = ", 1)[1]
+        assert (float(text) if isinstance(value, float) else text) == \
+            (value if isinstance(value, float) else str(value)), line
+    assert sorted(report.paths) == sorted(os.listdir(out))
+    assert all(path == str(out / name) for name, path in report.paths.items())
 
 
 # ------------------------------------------------------------------- run-ab
@@ -198,7 +221,7 @@ def test_scatter_sweep_delta_zero_gives_zero_change():
     t = TargetImage(rng.random((8, 8)))
     aperture = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     aperture[0, 0] = 1.0 + 0.0j
-    deltas, changes = scatter_sweep(t, aperture, BINARY_PHASE, np.array([0]))
+    deltas, changes, _ = scatter_sweep(t, aperture, BINARY_PHASE, np.array([0]))
     assert deltas[0] == 0.0
     assert changes[0] == 0.0
 
@@ -210,7 +233,8 @@ def test_scatter_sweep_matches_full_recompute():
     quantised = quantise(aperture, BINARY_PHASE)
     baseline = mse(t.mag, dft2(aperture))
     indices = np.array([0, 5, 17, 63])
-    _, changes = scatter_sweep(t, aperture, BINARY_PHASE, indices)
+    _, changes, got_baseline = scatter_sweep(t, aperture, BINARY_PHASE, indices)
+    assert got_baseline == baseline
     for row, idx in enumerate(indices):
         test_ap = aperture.copy()
         test_ap.ravel()[idx] = quantised.ravel()[idx]
@@ -221,7 +245,7 @@ def test_scatter_sweep_matches_full_recompute():
 def test_run_scatter_small(tmp_path):
     cfg = fast_config(tmp_path, scheme=CONT_PHASE, scatter_samples=500)
     report = run_scatter_experiment(cfg)
-    assert report.n_samples == 500
+    assert report.samples == 500
     lines = (tmp_path / "out" / "scatter.csv").read_text().splitlines()
     assert lines[0] == SCATTER_HEADER
     assert len(lines) == 501
@@ -233,7 +257,7 @@ def test_run_scatter_all_pixels_when_small(tmp_path):
     cfg = fast_config(tmp_path, scheme=CONT_PHASE, scatter_samples=10_000)
     report = run_scatter_experiment(cfg)
     # 64x64 grid has 4096 pixels, fewer than requested: sweep all of them
-    assert report.n_samples == 4096
+    assert report.samples == 4096
     lines = (tmp_path / "out" / "scatter.csv").read_text().splitlines()
     assert len(lines) == 4097
     idx = sorted(int(l.split(",")[0]) for l in lines[1:])
@@ -265,7 +289,7 @@ def test_run_histograms(tmp_path):
     report = run_histograms(cfg)
     out = tmp_path / "out"
     n = 64 * 64
-    assert report.n_pixels == n
+    assert report.pixels == n
     for name in ("hist_magnitude.csv", "hist_angle.csv", "hist_change.csv"):
         lines = (out / name).read_text().splitlines()
         assert lines[0] == HISTOGRAM_HEADER
@@ -346,5 +370,5 @@ def test_run_render_replay_golden_digest(tmp_path):
     run_render(cfg)
     raw = (tmp_path / "out" / "replay.pgm").read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    assert digest == ("6b7175398799a9e0d10f532f73d485a8"
-                      "014b6060e888d1a4b692eaa1381f5abc")
+    assert digest == ("b098501e84501d7766671aba0f62de70"
+                      "97427eb23c547fe08c4f996ccbce753b")

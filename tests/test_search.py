@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holosearch
+from holosearch import search
 from holosearch.field import dft2
 from holosearch.metrics import mse
 from holosearch.rng import STREAM_ACCEPTANCE, STREAM_PHASE, substream
@@ -34,7 +35,7 @@ from holosearch.search import (
     run_search,
     sps_order,
 )
-from holosearch.slm import ModulationScheme, is_allowed
+from holosearch.slm import ModulationScheme, change_map, is_allowed, quantise
 from holosearch.targets import TargetImage, normalize_energy, synthetic_mandrill
 
 BINARY_PHASE = ModulationScheme("phase", 2)
@@ -418,17 +419,26 @@ def test_naive_and_fast_agree_property(family, selection, height, width, levels,
     assert abs(naive.final_mse - fast.final_mse) <= 1e-9 * naive.final_mse
 
 
-def test_sps_first_pass_covers_sorted_moves():
+def test_sps_first_pass_covers_sorted_moves(monkeypatch):
     """Under SPS the first Nx*Ny iterations test every pixel exactly once,
     in non-increasing change order."""
     t = small_target(8)
     n = 64
-    res = run_search(t, SearchConfig(
-        iterations=n, scheme=BINARY_PHASE, selection=SELECT_SPS,
-        trace_stride=1), seed=4)
-    # every pixel holds an allowed value and the run completed a full pass
-    assert res.trace.final_iteration == n
-    assert res.accepted <= n
+    served = []
+    inner = search.next_pixel
+
+    def recording(order, width, height, rng):
+        x, y = inner(order, width, height, rng)
+        served.append(y * width + x)
+        return x, y
+
+    monkeypatch.setattr(search, "next_pixel", recording)
+    run_search(t, SearchConfig(iterations=n, scheme=BINARY_PHASE, selection=SELECT_SPS), seed=4)
+    projected = back_project(t, substream(4, STREAM_PHASE))
+    changes = change_map(projected, quantise(projected, BINARY_PHASE)).ravel()
+    assert served == sps_order(changes).order.tolist()
+    assert sorted(served) == list(range(n))
+    assert np.all(np.diff(changes[served]) <= 0)
 
 
 # --------------------------------------------------------- simulated annealing

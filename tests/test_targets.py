@@ -4,6 +4,7 @@ and the built-in synthetic patterns."""
 import numpy as np
 import pytest
 
+from holosearch.field import dft2
 from holosearch.targets import (
     TargetImage,
     induce_symmetry,
@@ -79,17 +80,41 @@ def test_normalize_zero_image_error():
 # ----------------------------------------------------------- induce_symmetry
 
 
+def origin_reflection(a):
+    """a reflected through the DFT origin: out[v, u] = a[-v mod h, -u mod w]."""
+    h, w = a.shape
+    return a[np.ix_(-np.arange(h) % h, -np.arange(w) % w)]
+
+
 def test_induce_symmetry_2x2_example():
-    a = 0.7
+    """Every pixel of a 2x2 grid is its own mirror through the DFT origin, so
+    the image stays as it is. On a 3x3 grid (0, 0) is fixed, (0, 1) pairs
+    with (0, 2) and (1, 2) with (2, 1)."""
+    a, b = 0.7, 0.4
     t = TargetImage(np.array([[a, 0.0], [0.0, 0.0]]))
-    out = induce_symmetry(t)
-    assert np.array_equal(out.mag, np.array([[a, 0.0], [0.0, a]]))
+    assert np.array_equal(induce_symmetry(t).mag, t.mag)
+    t3 = TargetImage(np.array([[a, a, 0.0], [0.0, 0.0, b], [0.0, 0.0, 0.0]]))
+    assert np.array_equal(induce_symmetry(t3).mag,
+                          np.array([[a, a, a], [0.0, 0.0, b], [0.0, b, 0.0]]))
 
 
 def test_induce_symmetry_exactly_rotation_invariant():
     rng = np.random.default_rng(502)
     out = induce_symmetry(TargetImage(rng.random((7, 9))))
-    assert np.array_equal(out.mag, out.mag[::-1, ::-1])
+    assert np.array_equal(out.mag, origin_reflection(out.mag))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (6, 9)])
+def test_real_aperture_replay_has_the_induced_symmetry(shape):
+    """Oracle for the convention: a real aperture's replay magnitude (binary
+    phase, or amplitude levels) is symmetric through the DFT origin, not
+    about the grid centre, and induce_symmetry leaves it as it is."""
+    rng = np.random.default_rng(506)
+    for aperture in (rng.choice([-1.0, 1.0], size=shape), rng.random(shape)):
+        mag = np.abs(dft2(aperture))
+        assert np.allclose(mag, origin_reflection(mag), rtol=0, atol=1e-12)
+        assert not np.allclose(mag, mag[::-1, ::-1], rtol=0, atol=1e-3)
+        assert np.allclose(induce_symmetry(TargetImage(mag)).mag, mag, rtol=0, atol=1e-12)
 
 
 def test_induce_symmetry_idempotent():
@@ -110,7 +135,7 @@ def test_induce_symmetry_never_decreases():
 def test_induce_symmetry_symmetric_input_unchanged():
     rng = np.random.default_rng(505)
     base = rng.random((6, 6))
-    sym = np.maximum(base, base[::-1, ::-1])
+    sym = np.maximum(base, origin_reflection(base))
     out = induce_symmetry(TargetImage(sym))
     assert np.array_equal(out.mag, sym)
 
