@@ -30,25 +30,39 @@ from .search import ALGORITHMS, SELECTIONS
 from .slm import ModulationScheme
 from .targets import SYNTHETIC_NAMES
 
-_CONFIG_KEYS = {
-    "image": str,
-    "resolution": int,
-    "scheme": str,
-    "algorithm": str,
-    "selection": str,
-    "iterations": int,
-    "seed": int,
-    "symmetry": None,  # parsed as a boolean word
-    "t_coeff": float,
-    "t0": float,
-    "out_dir": str,
-    "trace_stride": int,
-    "recompute_interval": int,
-    "scatter_samples": int,
-}
-
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
+
+
+def _boolean_word(text: str) -> bool:
+    """A config-file boolean (raises KeyError for anything else)."""
+    return _BOOL_WORDS[text.lower()]
+
+
+class _Option(NamedTuple):
+    parse: Callable[[str], object]  # text -> value, for flags and config files
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# Every ExperimentConfig field, in field order, as a --flag and a config key.
+# A boolean option is a bare flag that switches it on.
+_OPTIONS = {
+    "image": _Option(str, f"PGM path or builtin name ({', '.join(SYNTHETIC_NAMES)})"),
+    "resolution": _Option(int, "square grid side (64..2048, powers of two)"),
+    "scheme": _Option(str, "modulation scheme, e.g. binary-phase, phase:8, amplitude:cont"),
+    "algorithm": _Option(str, "search algorithm", ALGORITHMS),
+    "selection": _Option(str, "pixel selection policy", SELECTIONS),
+    "iterations": _Option(int, "search iterations"),
+    "seed": _Option(int, "master seed for all random streams"),
+    "symmetry": _Option(_boolean_word, "max the target with its reflection through the DFT origin"),
+    "t_coeff": _Option(float, "annealing start temperature (sa only)"),
+    "t0": _Option(float, "annealing decay constant (sa only)"),
+    "out_dir": _Option(str, "output directory (created if missing)"),
+    "trace_stride": _Option(int, "iterations between trace samples"),
+    "recompute_interval": _Option(int, "accepted updates between full replay recomputes"),
+    "scatter_samples": _Option(int, "pixels sampled by the scatter experiment"),
+}
 
 
 class _Subcommand(NamedTuple):
@@ -94,17 +108,14 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key == "symmetry":
-                if value.lower() not in _BOOL_WORDS:
-                    raise ValueError(f"{path}:{lineno}: expected a boolean word, got {value!r}")
-                options[key] = _BOOL_WORDS[value.lower()]
-            else:
-                try:
-                    options[key] = _CONFIG_KEYS[key](value)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+            try:
+                options[key] = _OPTIONS[key].parse(value)
+            except KeyError:
+                raise ValueError(f"{path}:{lineno}: expected a boolean word, got {value!r}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return options
 
 
@@ -112,22 +123,12 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     # Defaults are all None so that "flag was given" is distinguishable from
     # "use config-file or built-in default".
     sub.add_argument("--config", metavar="FILE", help="flat key = value options file")
-    sub.add_argument("--image", help=f"PGM path or builtin name ({', '.join(SYNTHETIC_NAMES)})")
-    sub.add_argument("--resolution", type=int, help="square grid side (64..2048, powers of two)")
-    sub.add_argument("--scheme", help="modulation scheme, e.g. binary-phase, phase:8, amplitude:cont")
-    sub.add_argument("--algorithm", choices=ALGORITHMS, help="search algorithm")
-    sub.add_argument("--selection", choices=SELECTIONS, help="pixel selection policy")
-    sub.add_argument("--iterations", type=int, help="search iterations")
-    sub.add_argument("--seed", type=int, help="master seed for all random streams")
-    sub.add_argument("--symmetry", action="store_const", const=True,
-                     help="max the target with its reflection through the DFT origin")
-    sub.add_argument("--t-coeff", type=float, help="annealing start temperature (sa only)")
-    sub.add_argument("--t0", type=float, help="annealing decay constant (sa only)")
-    sub.add_argument("--out-dir", help="output directory (created if missing)")
-    sub.add_argument("--trace-stride", type=int, help="iterations between trace samples")
-    sub.add_argument("--recompute-interval", type=int,
-                     help="accepted updates between full replay recomputes")
-    sub.add_argument("--scatter-samples", type=int, help="pixels sampled by the scatter experiment")
+    for key, option in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if option.parse is _boolean_word:
+            sub.add_argument(flag, action="store_const", const=True, help=option.help)
+        else:
+            sub.add_argument(flag, type=option.parse, choices=option.choices, help=option.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,7 +146,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     options = dict(_SUBCOMMANDS[args.command].defaults)
     if args.config:
         options.update(parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _OPTIONS:
         value = getattr(args, key)
         if value is not None:
             options[key] = value
@@ -156,23 +157,17 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except (ValueError, OSError) as exc:
-        print(f"holo: {exc}", file=sys.stderr)
-        return 2
-
     subcommand = _SUBCOMMANDS[args.command]
     try:
-        report = subcommand.driver(config)
-        for name in subcommand.printed:
-            print(format_entry(name, getattr(report, name)))
-        for name in subcommand.announced:
-            print(f"wrote {report.paths[name]}")
-        return 0
+        report = subcommand.driver(config_from_args(args))
     except (ValueError, OSError) as exc:
         print(f"holo: {exc}", file=sys.stderr)
         return 2
+    for name in subcommand.printed:
+        print(format_entry(name, getattr(report, name)))
+    for name in subcommand.announced:
+        print(f"wrote {report.paths[name]}")
+    return 0
 
 
 if __name__ == "__main__":

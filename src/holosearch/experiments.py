@@ -89,7 +89,7 @@ class ExperimentConfig:
         if self.t_coeff is not None or self.t0 is not None:
             if self.t_coeff is None or self.t0 is None:
                 raise ValueError("a custom sa schedule needs both --t-coeff and --t0")
-            schedule = AnnealingSchedule(self.t_coeff, self.t0, max(self.iterations, 1))
+            schedule = AnnealingSchedule(self.t_coeff, self.t0)
         return SearchConfig(
             iterations=self.iterations,
             scheme=self.scheme,
@@ -117,25 +117,38 @@ def prepare_target(config: ExperimentConfig) -> TargetImage:
     return normalize_energy(img)
 
 
+def _text(value) -> str:
+    """How every number in an artifact or on stdout is written: floats with
+    17 significant digits, booleans as true/false, anything else as str()."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
 def format_entry(key: str, value) -> str:
     """One ``key = value`` line of summary.txt or of ``holo``'s stdout."""
-    if isinstance(value, float):
-        return f"{key} = {value:.17g}"
-    if isinstance(value, bool):
-        return f"{key} = {'true' if value else 'false'}"
-    return f"{key} = {value}"
+    return f"{key} = {_text(value)}"
+
+
+def _write_csv(path, header: str, rows) -> None:
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_text, row)) + "\n")
 
 
 def write_trace_csv(trace: ConvergenceTrace, path) -> None:
     """Write iteration,mse,accepted rows (one per trace sample)."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for s in trace.samples:
-            fh.write(f"{s.iteration},{s.mse:.17g},{s.accepted}\n")
+    _write_csv(path, TRACE_HEADER, trace.samples)
 
 
 def _artifact_paths(config: ExperimentConfig, *names: str) -> dict[str, str]:
-    """Create config.out_dir and map each artifact name, and summary.txt, to its path there."""
+    """Create config.out_dir and map each artifact name, and summary.txt, to its path there.
+
+    Drivers call it once the target is loaded, so a run that cannot load its
+    image leaves no directory behind."""
     os.makedirs(config.out_dir, exist_ok=True)
     return {name: os.path.join(config.out_dir, name) for name in (*names, "summary.txt")}
 
@@ -206,8 +219,8 @@ def run_convergence_ab(config: ExperimentConfig) -> AbReport:
     policy differs. Writes trace_random.csv, trace_sps.csv, the two final
     replay magnitudes as PGM, and summary.txt.
     """
-    paths = _artifact_paths(config, "trace_random.csv", "trace_sps.csv", "replay_random.pgm", "replay_sps.pgm")
     target = prepare_target(config)
+    paths = _artifact_paths(config, "trace_random.csv", "trace_sps.csv", "replay_random.pgm", "replay_sps.pgm")
     t_start = time.perf_counter()
     result_random = run_search(target, config.search_config(SELECT_RANDOM), config.seed)
     result_sps = run_search(target, config.search_config(SELECT_SPS), config.seed)
@@ -291,8 +304,8 @@ def run_scatter_experiment(config: ExperimentConfig) -> ScatterReport:
     reports the Pearson correlation between fitted and observed changes.
     Writes scatter.csv (rows ordered by pixel index) and summary.txt.
     """
-    paths = _artifact_paths(config, "scatter.csv")
     target = prepare_target(config)
+    paths = _artifact_paths(config, "scatter.csv")
     aperture = back_project(target, substream(config.seed, STREAM_PHASE))
 
     n_pixels = target.mag.size
@@ -311,10 +324,7 @@ def run_scatter_experiment(config: ExperimentConfig) -> ScatterReport:
     coeff = float(d2 @ changes) / denom if denom > 0 else float("nan")
     correlation = pearson(coeff * d2, changes) if denom > 0 else float("nan")
 
-    with open(paths["scatter.csv"], "w", encoding="ascii", newline="") as fh:
-        fh.write(SCATTER_HEADER + "\n")
-        for idx, delta, change in zip(indices, deltas, changes):
-            fh.write(f"{int(idx)},{delta:.17g},{change:.17g}\n")
+    _write_csv(paths["scatter.csv"], SCATTER_HEADER, zip(indices, deltas, changes))
 
     report = ScatterReport(len(indices), coeff, correlation, baseline, wall, paths)
     _write_summary(config, report)
@@ -343,13 +353,6 @@ def histogram_rows(values: np.ndarray, lo: float, hi: float) -> list[tuple[float
     return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(HISTOGRAM_BINS)]
 
 
-def _write_histogram(path, rows) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(HISTOGRAM_HEADER + "\n")
-        for lo, hi, count in rows:
-            fh.write(f"{lo:.17g},{hi:.17g},{count}\n")
-
-
 def run_histograms(config: ExperimentConfig) -> HistogramReport:
     """Histogram the back-projected aperture for one (image, seed) pair.
 
@@ -357,16 +360,17 @@ def run_histograms(config: ExperimentConfig) -> HistogramReport:
     (over [-pi, pi]), and quantisation-change magnitudes for the configured
     scheme (over [0, max]); each histogram's counts sum to the pixel count.
     """
-    paths = _artifact_paths(config, "hist_magnitude.csv", "hist_angle.csv", "hist_change.csv")
     target = prepare_target(config)
+    paths = _artifact_paths(config, "hist_magnitude.csv", "hist_angle.csv", "hist_change.csv")
     aperture = back_project(target, substream(config.seed, STREAM_PHASE))
     magnitudes = np.abs(aperture)
     angles = np.angle(aperture)
     changes = change_map(aperture, quantise(aperture, config.scheme))
 
-    _write_histogram(paths["hist_magnitude.csv"], histogram_rows(magnitudes, 0.0, float(magnitudes.max())))
-    _write_histogram(paths["hist_angle.csv"], histogram_rows(angles, -np.pi, np.pi))
-    _write_histogram(paths["hist_change.csv"], histogram_rows(changes, 0.0, float(changes.max())))
+    _write_csv(paths["hist_magnitude.csv"], HISTOGRAM_HEADER,
+               histogram_rows(magnitudes, 0.0, float(magnitudes.max())))
+    _write_csv(paths["hist_angle.csv"], HISTOGRAM_HEADER, histogram_rows(angles, -np.pi, np.pi))
+    _write_csv(paths["hist_change.csv"], HISTOGRAM_HEADER, histogram_rows(changes, 0.0, float(changes.max())))
 
     report = HistogramReport(magnitudes.size, HISTOGRAM_BINS, paths)
     _write_summary(config, report)
@@ -399,8 +403,8 @@ def hologram_to_image(hologram: np.ndarray, scheme: ModulationScheme) -> np.ndar
 
 def run_render(config: ExperimentConfig) -> RenderReport:
     """One search run; writes hologram.pgm, replay.pgm, trace.csv, summary.txt."""
-    paths = _artifact_paths(config, "hologram.pgm", "replay.pgm", "trace.csv")
     target = prepare_target(config)
+    paths = _artifact_paths(config, "hologram.pgm", "replay.pgm", "trace.csv")
     t_start = time.perf_counter()
     result = run_search(target, config.search_config(), config.seed)
     wall = time.perf_counter() - t_start

@@ -51,27 +51,24 @@ SELECTIONS = (SELECT_RANDOM, SELECT_SPS)
 class AnnealingSchedule:
     """Exponentially decaying temperature ``T(n) = t_coeff * exp(-t0 * n / total_n)``.
 
-    n is the zero-based iteration index; total_n the planned run length.
-    t_coeff sets the starting temperature and t0 how many e-foldings the run
-    covers. Useful temperatures live on the scale of a single accepted
-    change's error delta (roughly initial_error / pixel_count), not of the
-    total error; see the engine's default.
+    n is the zero-based iteration index and total_n the run's length, which
+    the search supplies. t_coeff sets the starting temperature and t0 how
+    many e-foldings the run covers. Useful temperatures live on the scale of
+    a single accepted change's error delta (roughly initial_error /
+    pixel_count), not of the total error; see the engine's default.
     """
 
     t_coeff: float
     t0: float
-    total_n: int
 
     def __post_init__(self):
         if not (self.t_coeff > 0 and math.isfinite(self.t_coeff)):
             raise ValueError(f"t_coeff must be positive and finite, got {self.t_coeff}")
         if not (self.t0 > 0 and math.isfinite(self.t0)):
             raise ValueError(f"t0 must be positive and finite, got {self.t0}")
-        if self.total_n < 1:
-            raise ValueError(f"total_n must be >= 1, got {self.total_n}")
 
-    def temperature(self, n: int) -> float:
-        return self.t_coeff * math.exp(-self.t0 * n / self.total_n)
+    def temperature(self, n: int, total_n: int) -> float:
+        return self.t_coeff * math.exp(-self.t0 * n / total_n)
 
 
 def boltzmann_accept(delta_e: float, temperature: float, rng: np.random.Generator) -> bool:
@@ -200,8 +197,8 @@ class SearchResult:
     initial_mse: float
 
 
-def _default_schedule(initial_mse: float, n_pixels: int, iterations: int) -> AnnealingSchedule:
-    """Schedule for ``sa`` when config.schedule is None: t0 = 6 over config.iterations
+def _default_schedule(initial_mse: float, n_pixels: int) -> AnnealingSchedule:
+    """Schedule for ``sa`` when config.schedule is None: t0 = 6 over the run
     and t_coeff = 8 * initial_error / pixel_count.
 
     One pixel change moves the error by about 4/pixel_count energy units, so that
@@ -215,7 +212,7 @@ def _default_schedule(initial_mse: float, n_pixels: int, iterations: int) -> Ann
     t_coeff = 8.0 * initial_mse / n_pixels
     if t_coeff <= 0:
         t_coeff = float(np.finfo(np.float64).tiny)
-    return AnnealingSchedule(t_coeff=t_coeff, t0=6.0, total_n=max(iterations, 1))
+    return AnnealingSchedule(t_coeff=t_coeff, t0=6.0)
 
 
 def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray, PixelOrder]:
@@ -232,9 +229,10 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     """Run the search config.algorithm names.
 
     ``sa`` anneals under config.schedule, or :func:`_default_schedule` when
-    that is None. ``ds-naive`` makes the same decisions as ``ds-fast`` for the
-    same seed. The all-zero (degenerate) target is valid and accepts nothing
-    under direct search, since no single-pixel change can lower its error.
+    that is None, cooling over config.iterations. ``ds-naive`` makes the same
+    decisions as ``ds-fast`` for the same seed. The all-zero (degenerate)
+    target is valid and accepts nothing under direct search, since no
+    single-pixel change can lower its error.
     """
     if config.algorithm == ALGO_DS_NAIVE:
         return _naive_search(target, config, seed)
@@ -250,7 +248,7 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     annealing = config.algorithm == ALGO_SA
     schedule = None
     if annealing:
-        schedule = config.schedule or _default_schedule(initial_mse, width * height, config.iterations)
+        schedule = config.schedule or _default_schedule(initial_mse, width * height)
 
     trace = ConvergenceTrace()
     trace.append(0, current_mse, 0)
@@ -265,7 +263,8 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
         candidate_mse = mse(target_mag, replay)
 
         if annealing:
-            keep = boltzmann_accept(candidate_mse - current_mse, schedule.temperature(it - 1), accept_rng)
+            temperature = schedule.temperature(it - 1, config.iterations)
+            keep = boltzmann_accept(candidate_mse - current_mse, temperature, accept_rng)
         else:
             keep = candidate_mse < current_mse
 

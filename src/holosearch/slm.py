@@ -50,10 +50,6 @@ class ModulationScheme:
             object.__setattr__(self, "levels", int(self.levels))
 
     @property
-    def is_continuous(self) -> bool:
-        return self.levels is None
-
-    @property
     def name(self) -> str:
         """Canonical command-line name for this scheme."""
         if self.levels == 2:
@@ -127,9 +123,11 @@ def _phase_index(values: np.ndarray, n: int) -> np.ndarray:
 
     Nearest allowed angle means rounding t = angle*n/(2*pi) to an integer; on
     an exact half-integer t the two neighbors are complex-equidistant, and the
-    lower (mod n) index wins.
+    lower (mod n) index wins. A float value can tie exactly only at a multiple
+    of pi/4 (or at zero); for those angles angle/pi is exact, so t is formed
+    as angle/pi * (n/2) to land exactly on the half-integer.
     """
-    t = np.angle(values).ravel() * (n / (2.0 * np.pi))
+    t = np.angle(values).ravel() / np.pi * (n / 2)
     k_down = np.ceil(t - 0.5)
     k_up = np.floor(t + 0.5)
     k = k_down

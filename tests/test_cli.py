@@ -1,9 +1,12 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from holosearch.cli import build_parser, config_from_args, main, parse_config_file
+from holosearch.cli import _OPTIONS, _SUBCOMMANDS, build_parser, config_from_args, main, parse_config_file
+from holosearch.experiments import ExperimentConfig
 from holosearch.pgm import load_pgm
 
 
@@ -142,6 +145,16 @@ def test_missing_image_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("holo: ")
 
 
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_failed_run_leaves_no_out_dir(command, tmp_path, capsys):
+    """A run that cannot load its image creates no output directory."""
+    out = tmp_path / "o"
+    rc = run_cli([command, "--image", tmp_path / "absent.pgm", "--out-dir", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("holo: ")
+    assert not out.exists()
+
+
 def test_t_coeff_without_sa_exits_2(tmp_path, capsys):
     rc = run_cli(["render", "--resolution", 64, "--t-coeff", 0.5,
                   "--out-dir", tmp_path / "o"])
@@ -248,3 +261,11 @@ def test_scatter_default_scheme_is_continuous():
     cfg2 = config_from_args(
         parser.parse_args(["scatter", "--scheme", "binary-phase"]))
     assert cfg2.scheme.name == "binary-phase"
+
+
+def test_options_are_the_experiment_config_fields():
+    """One option table serves the flags and the config-file keys; it names
+    every ExperimentConfig field, in field order."""
+    assert list(_OPTIONS) == [f.name for f in fields(ExperimentConfig)]
+    args = build_parser().parse_args(["render"])
+    assert sorted(vars(args)) == sorted(["command", "config", *_OPTIONS])

@@ -72,7 +72,6 @@ def test_config_custom_schedule_needs_both_knobs():
     sc = full.search_config()
     assert sc.schedule.t_coeff == 0.5
     assert sc.schedule.t0 == 3.0
-    assert sc.schedule.total_n == 10
 
 
 # -------------------------------------------------------------- prepare_target

@@ -50,24 +50,22 @@ def small_target(size=16, seed=500):
 
 
 def test_schedule_formula():
-    s = AnnealingSchedule(t_coeff=2.0, t0=6.0, total_n=100)
-    assert s.temperature(0) == 2.0
+    s = AnnealingSchedule(t_coeff=2.0, t0=6.0)
+    assert s.temperature(0, 100) == 2.0
     want = 2.0 * math.exp(-6.0 * 50 / 100)
-    assert abs(s.temperature(50) - want) < 1e-15
+    assert abs(s.temperature(50, 100) - want) < 1e-15
     # strictly decreasing
-    temps = [s.temperature(n) for n in range(0, 100, 10)]
+    temps = [s.temperature(n, 100) for n in range(0, 100, 10)]
     assert all(a > b for a, b in zip(temps, temps[1:]))
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        AnnealingSchedule(t_coeff=0.0, t0=6.0, total_n=10)
+        AnnealingSchedule(t_coeff=0.0, t0=6.0)
     with pytest.raises(ValueError):
-        AnnealingSchedule(t_coeff=1.0, t0=0.0, total_n=10)
+        AnnealingSchedule(t_coeff=1.0, t0=0.0)
     with pytest.raises(ValueError):
-        AnnealingSchedule(t_coeff=1.0, t0=6.0, total_n=0)
-    with pytest.raises(ValueError):
-        AnnealingSchedule(t_coeff=math.inf, t0=6.0, total_n=10)
+        AnnealingSchedule(t_coeff=math.inf, t0=6.0)
 
 
 # ---------------------------------------------------------- boltzmann_accept
@@ -303,7 +301,7 @@ def test_search_config_validation():
         # a schedule makes no sense outside simulated annealing
         SearchConfig(iterations=10, scheme=BINARY_PHASE,
                      algorithm=ALGO_DS_FAST,
-                     schedule=AnnealingSchedule(1.0, 6.0, 10))
+                     schedule=AnnealingSchedule(1.0, 6.0))
     with pytest.raises(ValueError):
         SearchConfig(iterations=10, scheme=BINARY_PHASE, trace_stride=0)
     with pytest.raises(ValueError):
@@ -447,7 +445,7 @@ def test_sps_first_pass_covers_sorted_moves(monkeypatch):
 def test_sa_cold_schedule_equals_direct_search():
     # with an effectively zero temperature SA degenerates to strict descent
     t = small_target()
-    sched = AnnealingSchedule(t_coeff=1e-300, t0=6.0, total_n=300)
+    sched = AnnealingSchedule(t_coeff=1e-300, t0=6.0)
     sa = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA,
         schedule=sched, trace_stride=1), seed=7)
@@ -463,7 +461,7 @@ def test_sa_default_schedule_matches_explicit():
     implicit = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA), seed=8)
     e0 = implicit.initial_mse
-    sched = AnnealingSchedule(t_coeff=8.0 * e0 / 256, t0=6.0, total_n=300)
+    sched = AnnealingSchedule(t_coeff=8.0 * e0 / 256, t0=6.0)
     explicit = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA,
         schedule=sched), seed=8)
@@ -473,7 +471,7 @@ def test_sa_default_schedule_matches_explicit():
 
 def test_sa_hot_schedule_accepts_worsening_moves():
     t = small_target()
-    hot = AnnealingSchedule(t_coeff=10.0, t0=1e-9, total_n=400)
+    hot = AnnealingSchedule(t_coeff=10.0, t0=1e-9)
     sa = run_search(t, SearchConfig(
         iterations=400, scheme=BINARY_PHASE, algorithm=ALGO_SA,
         schedule=hot, trace_stride=1), seed=9)
@@ -492,6 +490,63 @@ def test_sa_final_state_consistent():
     fresh = mse(t.mag, dft2(res.hologram))
     assert abs(res.final_mse - fresh) / fresh < 1e-9
     assert is_allowed(res.hologram, BINARY_PHASE)
+
+
+def test_sa_cools_over_the_run_length(monkeypatch):
+    """The loop hands boltzmann_accept T(n) over the run's own length: the
+    first iteration gets t_coeff, the last t_coeff * exp(-t0 * (n-1) / n)."""
+    temps = []
+    inner = search.boltzmann_accept
+
+    def recording(delta_e, temperature, rng):
+        temps.append(temperature)
+        return inner(delta_e, temperature, rng)
+
+    monkeypatch.setattr(search, "boltzmann_accept", recording)
+    n, t_coeff, t0 = 37, 0.25, 3.0
+    run_search(small_target(), SearchConfig(
+        iterations=n, scheme=BINARY_PHASE, algorithm=ALGO_SA,
+        schedule=AnnealingSchedule(t_coeff, t0)), seed=14)
+    assert len(temps) == n
+    assert temps[0] == t_coeff
+    assert temps[-1] == t_coeff * math.exp(-t0 * (n - 1) / n)
+    assert all(a > b for a, b in zip(temps, temps[1:]))
+
+
+# --------------------------------------------------------- replay refresh, drift
+
+
+@pytest.mark.parametrize("interval", [1, 3])
+@pytest.mark.parametrize("algorithm", [ALGO_DS_FAST, ALGO_SA])
+def test_replay_refreshed_every_interval_accepts(algorithm, interval, monkeypatch):
+    """Besides the set-up transform, the loop recomputes the replay from a
+    full transform once every recompute_interval accepts, and returns a
+    replay that matches a fresh transform of its hologram."""
+    calls = []
+    inner = search.dft2
+
+    def counting(hologram):
+        calls.append(1)
+        return inner(hologram)
+
+    monkeypatch.setattr(search, "dft2", counting)
+    res = run_search(small_target(), SearchConfig(
+        iterations=300, scheme=BINARY_PHASE, algorithm=algorithm,
+        recompute_interval=interval), seed=13)
+    assert res.accepted >= 2 * interval
+    assert len(calls) == 1 + res.accepted // interval
+    assert np.max(np.abs(res.replay - inner(res.hologram))) <= 1e-12
+
+
+@pytest.mark.parametrize("algorithm", [ALGO_DS_FAST, ALGO_SA])
+def test_drift_without_refresh_is_bounded(algorithm):
+    """With no refresh in the run, the incremental replay drifts through
+    accepts and rolled-back rejects alike; at 128^2 over 3000 iterations it
+    stays within 1e-11 of a fresh transform."""
+    t = normalize_energy(synthetic_mandrill(128))
+    res = run_search(t, SearchConfig(iterations=3000, scheme=BINARY_PHASE, algorithm=algorithm), seed=0)
+    assert 0 < res.accepted < 3000
+    assert np.max(np.abs(res.replay - dft2(res.hologram))) <= 1e-11
 
 
 # ---------------------------------------------------------------- run_search

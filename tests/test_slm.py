@@ -10,9 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holosearch.rng import STREAM_PROPOSAL, substream
 from holosearch.slm import (
+    AMPLITUDE,
+    PHASE,
     ModulationScheme,
     amplitude_levels,
     change_map,
@@ -148,6 +152,63 @@ def test_quantise_tie_breaks_to_lower_index():
     # 0.25 sits exactly between amplitude levels 0 and 0.5 -> level 0
     out = quantise(np.array([[0.25 + 0.0j]]), TRI_AMP)
     assert out[0, 0] == 0.0 + 0.0j
+
+
+def nearest_levels(value, scheme):
+    """Scale-free enumeration oracle: the indices of the levels nearest to
+    ``value`` up to rounding (within 1e-12), ascending. Phase distances are
+    measured to the value's direction, amplitude distances along the real
+    axis, so a value's size does not shrink or stretch the tolerance."""
+    table = scheme.allowed_values()
+    value = complex(value)
+    if scheme.kind == AMPLITUDE:
+        dists = np.abs(table.real - value.real)
+    else:
+        dists = np.abs(table - (value / abs(value) if value else 0))
+    return np.flatnonzero(dists <= dists.min() + 1e-12)
+
+
+@pytest.mark.parametrize("family", ["binary-phase", "phase", "binary-amplitude", "amplitude"])
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(levels=st.integers(3, 8),
+       values=st.lists(st.one_of(
+           st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+           st.builds(complex, st.floats(-0.5, 1.5), st.floats(-2.0, 2.0))), min_size=8, max_size=32))
+def test_quantise_is_nearest_level_property(family, levels, values):
+    """quantise picks a level the enumeration oracle finds nearest, for
+    every discrete family and arbitrary values. Where levels tie to within
+    rounding either may be the nearest; exact ties are pinned below."""
+    scheme = ModulationScheme.from_name(family if family.startswith("binary") else f"{family}:{levels}")
+    table = scheme.allowed_values()
+    for value, level in zip(values, quantise(np.array(values, dtype=np.complex128), scheme)):
+        chosen = int(np.flatnonzero(table == level)[0])
+        assert chosen in nearest_levels(value, scheme), (scheme.name, value, chosen)
+
+
+# A float value ties two phase levels exactly only on an axis or a diagonal
+# (or at zero), and two amplitude levels only at a dyadic real part; any other
+# value near a tie is a rounding-level near-tie.
+_TIE_SCHEMES = ([ModulationScheme(PHASE, n) for n in range(2, 17)]
+                + [ModulationScheme(AMPLITUDE, n) for n in range(2, 10)])
+
+
+@pytest.mark.parametrize("scheme", _TIE_SCHEMES, ids=lambda s: s.name)
+def test_quantise_exact_ties_go_to_lower_index(scheme):
+    """Every value of these forms that the oracle finds tied goes to the
+    lower level index: zero, the axes and diagonals at three sizes for
+    phase, and real parts j/16 with any imaginary part for amplitude."""
+    if scheme.kind == PHASE:
+        values = [d * r for d in (0, 1, 1 + 1j, 1j, -1 + 1j, -1, -1 - 1j, -1j, 1 - 1j)
+                  for r in (1e-3, 1.0, 4.0)]
+    else:
+        values = [complex(j / 16, im) for j in range(-4, 21) for im in (0.0, -0.7, 2.0)]
+    table = scheme.allowed_values()
+    ties = 0
+    for value, level in zip(values, quantise(np.array(values, dtype=np.complex128), scheme)):
+        nearest = nearest_levels(value, scheme)
+        ties += len(nearest) > 1
+        assert table[nearest[0]] == level, (scheme.name, value)
+    assert ties
 
 
 def test_quantise_continuous_phase_keeps_angle():
