@@ -46,7 +46,7 @@ class _Option(NamedTuple):
 
 
 # Every ExperimentConfig field, in field order, as a --flag and a config key.
-# A boolean option is a bare flag that switches it on.
+# A boolean option is a --flag/--no-flag pair.
 _OPTIONS = {
     "image": _Option(str, f"PGM path or builtin name ({', '.join(SYNTHETIC_NAMES)})"),
     "resolution": _Option(int, "square grid side (64..2048, powers of two)"),
@@ -126,7 +126,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     for key, option in _OPTIONS.items():
         flag = "--" + key.replace("_", "-")
         if option.parse is _boolean_word:
-            sub.add_argument(flag, action="store_const", const=True, help=option.help)
+            sub.add_argument(flag, action=argparse.BooleanOptionalAction, help=option.help)
         else:
             sub.add_argument(flag, type=option.parse, choices=option.choices, help=option.help)
 

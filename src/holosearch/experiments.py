@@ -26,7 +26,6 @@ from .metrics import ConvergenceTrace, final_error_improvement, mse, pearson, re
 from .pgm import CLAMP_UNIT, LINEAR_MAX, load_pgm, save_pgm
 from .rng import STREAM_PHASE, STREAM_SELECTION, substream
 from .search import (
-    ALGO_DS_FAST,
     SELECT_RANDOM,
     SELECT_SPS,
     AnnealingSchedule,
@@ -59,16 +58,16 @@ class ExperimentConfig:
     image: str = "synthetic-mandrill"
     resolution: int = 128
     scheme: ModulationScheme = ModulationScheme(PHASE, 2)
-    algorithm: str = ALGO_DS_FAST
-    selection: str = SELECT_RANDOM
+    algorithm: str = SearchConfig.algorithm
+    selection: str = SearchConfig.selection
     iterations: int = 20_000
     seed: int = 0
     symmetry: bool = False
     t_coeff: float | None = None
     t0: float | None = None
     out_dir: str = "out"
-    trace_stride: int = 100
-    recompute_interval: int = 50_000
+    trace_stride: int = SearchConfig.trace_stride
+    recompute_interval: int = SearchConfig.recompute_interval
     scatter_samples: int = 10_000
 
     def __post_init__(self):

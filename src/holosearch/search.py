@@ -9,9 +9,9 @@ variants differ only in two policies:
 * acceptance: direct search keeps strict improvements; simulated annealing
   also keeps a worsening candidate with Boltzmann probability
   ``exp(-dE / T)`` under an exponentially decaying temperature.
-* pixel selection: uniform random, or a fixed pass over pixels sorted by how
-  much quantisation moved them (largest change first), wrapping around when
-  the list is exhausted.
+* pixel selection: uniform random, or a permutation of the pixels sorted by
+  how much quantisation moved them (largest change first), served by
+  iteration number and repeated pass after pass.
 
 Scoring uses an O(N) single-pixel replay update rather than a full transform;
 ``ds-naive`` runs the mathematically identical full-transform path in a loop
@@ -83,51 +83,29 @@ def boltzmann_accept(delta_e: float, temperature: float, rng: np.random.Generato
     return rng.random() < math.exp(-delta_e / temperature)
 
 
-@dataclass
-class RandomOrder:
-    """Uniform random pixel selection (stateless)."""
-
-
-@dataclass
-class SortedOrder:
-    """Fixed pass over a pixel permutation, wrapping at the end.
-
-    ``order`` holds flat pixel indices (row-major, index = y*width + x);
-    ``cursor`` is the next position to serve.
-    """
-
-    order: np.ndarray
-    cursor: int = 0
-
-
-PixelOrder = RandomOrder | SortedOrder
-
-
-def sps_order(changes: np.ndarray) -> SortedOrder:
-    """Selection order for sorted pixel selection.
+def sps_order(changes: np.ndarray) -> np.ndarray:
+    """Selection order for sorted pixel selection, as flat pixel indices
+    (row-major, index = y*width + x).
 
     Pixels are visited in descending order of quantisation-change magnitude;
     equal magnitudes keep ascending pixel-index order, so the permutation is
     fully determined by the change map.
     """
     flat = np.asarray(changes, dtype=np.float64).ravel()
-    return SortedOrder(order=np.argsort(-flat, kind="stable"))
+    return np.argsort(-flat, kind="stable")
 
 
-def next_pixel(order: PixelOrder, width: int, height: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Yield the next (x, y) pixel to test under a selection policy.
+def next_pixel(order: np.ndarray | None, n: int, width: int, height: int, rng: np.random.Generator) -> tuple[int, int]:
+    """The (x, y) pixel tested at zero-based iteration n.
 
-    RandomOrder draws one uniform index per call; SortedOrder serves its
-    permutation in order, consuming no randomness, and wraps around without
-    re-sorting once exhausted.
+    Under sorted selection this is ``order[n % order.size]``: one pass over
+    the permutation, repeated without re-sorting, and no randomness drawn.
+    With ``order`` None it is one uniform draw from rng.
     """
-    if isinstance(order, SortedOrder):
-        idx = int(order.order[order.cursor])
-        order.cursor += 1
-        if order.cursor == len(order.order):
-            order.cursor = 0
-    else:
+    if order is None:
         idx = int(rng.integers(width * height))
+    else:
+        idx = int(order[n % order.size])
     return idx % width, idx // width
 
 
@@ -215,13 +193,13 @@ def _default_schedule(initial_mse: float, n_pixels: int) -> AnnealingSchedule:
     return AnnealingSchedule(t_coeff=t_coeff, t0=6.0)
 
 
-def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray, PixelOrder]:
+def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Set-up shared by every algorithm: the quantised random-phase
-    back-projection, its replay, and the pixel-selection order."""
+    back-projection, its replay, and the sps order (None for random)."""
     projected = back_project(target, substream(seed, STREAM_PHASE))
     hologram = quantise(projected, config.scheme)
     replay = dft2(hologram)
-    order = sps_order(change_map(projected, hologram)) if config.selection == SELECT_SPS else RandomOrder()
+    order = sps_order(change_map(projected, hologram)) if config.selection == SELECT_SPS else None
     return hologram, replay, order
 
 
@@ -253,10 +231,9 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     trace = ConvergenceTrace()
     trace.append(0, current_mse, 0)
     accepted = 0
-    accepts_since_refresh = 0
 
     for it in range(1, config.iterations + 1):
-        x, y = next_pixel(order, width, height, select_rng)
+        x, y = next_pixel(order, it - 1, width, height, select_rng)
         old_value = hologram[y, x]
         new_value = propose_value(old_value, config.scheme, proposal_rng)
         increment = delta_update(replay, x, y, new_value - old_value)
@@ -272,11 +249,9 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
             accepted += 1
             current_mse = candidate_mse
             hologram[y, x] = new_value
-            accepts_since_refresh += 1
-            if accepts_since_refresh >= config.recompute_interval:
+            if accepted % config.recompute_interval == 0:
                 replay = dft2(hologram)
                 current_mse = mse(target_mag, replay)
-                accepts_since_refresh = 0
         else:
             replay -= increment
 
@@ -299,7 +274,7 @@ def _naive_search(target: TargetImage, config: SearchConfig, seed: int) -> Searc
     trace.append(0, current_mse, 0)
     accepted = 0
     for it in range(1, config.iterations + 1):
-        x, y = next_pixel(order, width, height, select_rng)
+        x, y = next_pixel(order, it - 1, width, height, select_rng)
         old_value = hologram[y, x]
         hologram[y, x] = propose_value(old_value, config.scheme, proposal_rng)
         candidate_replay = dft2(hologram)

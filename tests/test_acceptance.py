@@ -226,7 +226,7 @@ def test_criterion_7_invariant_bundle(tmp_path):
     # sorted selection serves every pixel exactly once per pass
     aperture = idft2(target.mag.astype(np.complex128))
     order = sps_order(change_map(aperture, quantise(aperture, BINARY_PHASE)))
-    assert sorted(order.order.tolist()) == list(range(64 * 64))
+    assert sorted(order.tolist()) == list(range(64 * 64))
 
     elapsed = time.perf_counter() - t_start
     print(f"\ncriterion 7: all invariant properties hold ({elapsed:.1f}s, "

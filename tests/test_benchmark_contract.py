@@ -51,6 +51,22 @@ def test_every_hooked_name_is_called_where_it_is_looked_up(monkeypatch, tmp_path
     assert {name for name, _ in log} == {name for _, name in HOOKED}
 
 
+def test_selection_hooks_count_what_they_time(monkeypatch, tmp_path):
+    """``search.next_pixel.us_per_call`` is per iteration and
+    ``search.sps_order.ms`` is one sort: next_pixel is called once for each
+    n = 0 ... iterations-1, and sps_order once under sps, never under random."""
+    iterations = 50
+    for selection, sorts in ((SELECT_SPS, 1), (SELECT_RANDOM, 0)):
+        log = []
+        for name in ("next_pixel", "sps_order"):
+            count_calls(monkeypatch, search, name, log)
+        run_render(ExperimentConfig(resolution=64, iterations=iterations, selection=selection,
+                                    out_dir=str(tmp_path / selection)))
+        assert [args[1] for name, args in log if name == "next_pixel"] == list(range(iterations))
+        assert sum(name == "sps_order" for name, _ in log) == sorts
+        monkeypatch.undo()
+
+
 def test_zero_iteration_search_config_constructs():
     cfg = ExperimentConfig(resolution=64, iterations=0, out_dir="").search_config(SELECT_SPS)
     assert cfg.iterations == 0

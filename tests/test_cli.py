@@ -236,6 +236,15 @@ def test_flags_override_config_file(tmp_path):
     assert "resolution = 64" in summary  # file still supplies the rest
 
 
+def test_no_symmetry_flag_overrides_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "o"
+    cfg.write_text("resolution = 64\niterations = 0\nsymmetry = yes\n")
+    rc = run_cli(["render", "--config", cfg, "--no-symmetry", "--out-dir", out])
+    assert rc == 0
+    assert "symmetry = false" in (out / "summary.txt").read_text()
+
+
 # --------------------------------------------------------- argument plumbing
 
 

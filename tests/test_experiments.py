@@ -27,6 +27,7 @@ from holosearch.experiments import (
 from holosearch.field import dft2, idft2
 from holosearch.metrics import ConvergenceTrace, mse
 from holosearch.pgm import CLAMP_UNIT, load_pgm, save_pgm
+from holosearch.search import SearchConfig
 from holosearch.slm import ModulationScheme, quantise
 from holosearch.targets import TargetImage, synthetic_mandrill
 
@@ -72,6 +73,15 @@ def test_config_custom_schedule_needs_both_knobs():
     sc = full.search_config()
     assert sc.schedule.t_coeff == 0.5
     assert sc.schedule.t0 == 3.0
+
+
+@pytest.mark.parametrize("iterations", [0, 7, 20_000])
+def test_default_search_config_is_search_configs_default(iterations):
+    """ExperimentConfig takes its search defaults from SearchConfig."""
+    got = ExperimentConfig(iterations=iterations).search_config()
+    want = SearchConfig(iterations=iterations, scheme=BINARY_PHASE)
+    for field in dataclasses.fields(SearchConfig):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
 # -------------------------------------------------------------- prepare_target

@@ -17,7 +17,7 @@ import holosearch
 from holosearch import search
 from holosearch.field import dft2
 from holosearch.metrics import mse
-from holosearch.rng import STREAM_ACCEPTANCE, STREAM_PHASE, substream
+from holosearch.rng import STREAM_ACCEPTANCE, STREAM_PHASE, STREAM_SELECTION, substream
 from holosearch.search import (
     ALGO_DS_FAST,
     ALGO_DS_NAIVE,
@@ -26,9 +26,7 @@ from holosearch.search import (
     SELECT_SPS,
     SELECTIONS,
     AnnealingSchedule,
-    RandomOrder,
     SearchConfig,
-    SortedOrder,
     back_project,
     boltzmann_accept,
     next_pixel,
@@ -105,21 +103,20 @@ def test_accept_worsening_at_zero_temperature():
 
 def test_sps_order_example():
     order = sps_order(np.array([[0.1, 0.9], [0.5, 0.5]]))
-    assert order.order.tolist() == [1, 2, 3, 0]
-    assert order.cursor == 0
+    assert order.tolist() == [1, 2, 3, 0]
 
 
 def test_sps_order_all_equal_keeps_index_order():
     order = sps_order(np.zeros((2, 3)))
-    assert order.order.tolist() == [0, 1, 2, 3, 4, 5]
+    assert order.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_sps_order_is_permutation_and_sorted():
     rng = np.random.default_rng(601)
     ch = rng.random((64, 64))
     order = sps_order(ch)
-    assert sorted(order.order.tolist()) == list(range(64 * 64))
-    served = ch.ravel()[order.order]
+    assert sorted(order.tolist()) == list(range(64 * 64))
+    served = ch.ravel()[order]
     assert np.all(np.diff(served) <= 0)
 
 
@@ -128,33 +125,24 @@ def test_next_pixel_sorted_serves_each_once_then_wraps():
     w = h = 16
     ch = rng.random((h, w))
     order = sps_order(ch)
-    first_flat = int(order.order[0])
+    first_flat = int(order[0])
     seen = set()
-    for _ in range(w * h):
-        x, y = next_pixel(order, w, h, rng)
+    for n in range(w * h):
+        x, y = next_pixel(order, n, w, h, rng)
         seen.add(y * w + x)
     assert seen == set(range(w * h))
-    # wrap: next call re-serves the head of the permutation, no re-sort
-    x, y = next_pixel(order, w, h, rng)
+    # wrap: the next iteration re-serves the head of the permutation, no re-sort
+    x, y = next_pixel(order, w * h, w, h, rng)
     assert y * w + x == first_flat
-    assert order.cursor == 1
 
 
 def test_next_pixel_sorted_consumes_no_rng():
     rng = np.random.default_rng(603)
     order = sps_order(np.arange(16.0).reshape(4, 4))
     before = rng.bit_generator.state
-    for _ in range(20):
-        next_pixel(order, 4, 4, rng)
+    for n in range(20):
+        next_pixel(order, n, 4, 4, rng)
     assert rng.bit_generator.state == before
-
-
-def test_next_pixel_cursor_stays_in_range():
-    rng = np.random.default_rng(604)
-    order = sps_order(np.arange(12.0).reshape(3, 4))
-    for _ in range(40):
-        next_pixel(order, 4, 3, rng)
-        assert 0 <= order.cursor < 12
 
 
 def test_next_pixel_random_uniform():
@@ -162,14 +150,55 @@ def test_next_pixel_random_uniform():
     rng = np.random.default_rng(605)
     w = h = 16
     counts = np.zeros(w * h, dtype=np.int64)
-    order = RandomOrder()
     n = 1_000_000
-    for _ in range(n):
-        x, y = next_pixel(order, w, h, rng)
+    for it in range(n):
+        x, y = next_pixel(None, it, w, h, rng)
         counts[y * w + x] += 1
     p = 1.0 / (w * h)
     sigma = math.sqrt(n * p * (1 - p))
     assert np.all(np.abs(counts - n * p) <= 5 * sigma)
+
+
+@pytest.mark.parametrize("algorithm", search.ALGORITHMS)
+@pytest.mark.parametrize("selection", SELECTIONS)
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(height=st.integers(4, 12), width=st.integers(4, 12), extra=st.integers(0, 144),
+       seed=st.integers(0, 2**32 - 1))
+def test_selection_stream_oracle(algorithm, selection, height, width, extra, seed):
+    """Pixel selection is a pure function of the iteration number. Over 2-3
+    passes of the grid, run_search asks for n = 0, 1, ... and is served
+    rng.integers(N, size=iterations) from the selection stream under random
+    selection, or sps_order(changes)[n % N] with no draw under sps."""
+    n_pixels = height * width
+    iterations = 2 * n_pixels + extra % (n_pixels + 1)
+    rng = np.random.default_rng(seed)
+    t = normalize_energy(TargetImage(rng.random((height, width)) + 0.05))
+    config = SearchConfig(iterations=iterations, scheme=BINARY_PHASE, algorithm=algorithm,
+                          selection=selection)
+    steps, served, rngs = [], [], []
+    inner = search.next_pixel
+
+    def recording(order, n, w, h, rng):
+        x, y = inner(order, n, w, h, rng)
+        steps.append(n)
+        served.append(y * w + x)
+        rngs.append(rng)
+        return x, y
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "next_pixel", recording)
+        run_search(t, config, seed)
+
+    assert steps == list(range(iterations))
+    oracle_rng = substream(seed, STREAM_SELECTION)
+    if selection == SELECT_RANDOM:
+        want = oracle_rng.integers(n_pixels, size=iterations)
+    else:
+        projected = back_project(t, substream(seed, STREAM_PHASE))
+        changes = change_map(projected, quantise(projected, BINARY_PHASE))
+        want = sps_order(changes)[np.arange(iterations) % n_pixels]
+    assert served == want.tolist()
+    assert rngs[0].bit_generator.state == oracle_rng.bit_generator.state
 
 
 # -------------------------------------------------------------- back_project
@@ -425,8 +454,8 @@ def test_sps_first_pass_covers_sorted_moves(monkeypatch):
     served = []
     inner = search.next_pixel
 
-    def recording(order, width, height, rng):
-        x, y = inner(order, width, height, rng)
+    def recording(order, it, width, height, rng):
+        x, y = inner(order, it, width, height, rng)
         served.append(y * width + x)
         return x, y
 
@@ -434,7 +463,7 @@ def test_sps_first_pass_covers_sorted_moves(monkeypatch):
     run_search(t, SearchConfig(iterations=n, scheme=BINARY_PHASE, selection=SELECT_SPS), seed=4)
     projected = back_project(t, substream(4, STREAM_PHASE))
     changes = change_map(projected, quantise(projected, BINARY_PHASE)).ravel()
-    assert served == sps_order(changes).order.tolist()
+    assert served == sps_order(changes).tolist()
     assert sorted(served) == list(range(n))
     assert np.all(np.diff(changes[served]) <= 0)
 
