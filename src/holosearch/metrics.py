@@ -3,6 +3,19 @@
 The error measure throughout is the phase-insensitive mean squared error
 between target and replay magnitudes: ``mean((|T| - |R|)^2)``. Replay phase is
 free (nothing constrains it physically), so only magnitudes are compared.
+
+A Hermitian replay (that of a real aperture) can be scored exactly from its
+leading :func:`~holosearch.field.half_rows` rows. Expanding the square,
+
+    N * mse = E - 2 * sum(|R| * T) + sum(T^2),     E = sum(|R|^2),
+
+and ``|R|`` takes the same value at (v, u) and at its point reflection
+((-v) % Ny, (-u) % Nx). So the cross term is a sum over the leading rows
+against the folded target ``T_f = w_v * (T + T reflected)``, with w = 1/2 on
+the rows that are their own reflection (row 0, and row Ny/2 when Ny is even)
+and 1 elsewhere. This holds for any target, symmetric or not. E is the
+aperture's energy by Parseval, which a one-pixel change moves by
+``|new|^2 - |old|^2``.
 """
 
 from __future__ import annotations
@@ -11,13 +24,60 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .field import half_rows
 
-def mse(target_mag: np.ndarray, replay: np.ndarray) -> float:
+
+class FoldedTarget(NamedTuple):
+    """A target magnitude pattern folded onto the leading rows of the grid;
+    see :func:`fold_target`."""
+
+    folded: np.ndarray
+    energy: float
+    size: int
+
+
+def fold_target(target_mag: np.ndarray) -> FoldedTarget:
+    """Fold an (Ny, Nx) magnitude pattern for half-plane scoring.
+
+    Returns the (Ny//2 + 1, Nx) array ``T_f``, the target's energy
+    ``sum(T^2)`` and its pixel count, which :func:`mse` needs to score a
+    Hermitian replay from its leading rows alone.
+    """
+    ny, nx = target_mag.shape
+    rows = half_rows(ny)
+    folded = np.empty((rows, nx))
+    # Point reflection of rows 0 .. rows-1: row 0 maps to itself, row v to
+    # row Ny - v; column 0 maps to itself, column u to column Nx - u.
+    folded[0, 0] = target_mag[0, 0]
+    folded[0, 1:] = target_mag[0, :0:-1]
+    src = target_mag[ny - 1:ny - rows:-1]
+    folded[1:, :1] = src[:, :1]
+    folded[1:, 1:] = src[:, :0:-1]
+    folded += target_mag[:rows]
+    folded[0] *= 0.5
+    if ny % 2 == 0:
+        folded[ny // 2] *= 0.5
+    flat = target_mag.ravel()
+    return FoldedTarget(folded, float(flat @ flat), flat.size)
+
+
+def mse(target_mag: np.ndarray | FoldedTarget, replay: np.ndarray, energy: float | None = None) -> float:
     """Phase-insensitive mean squared error between a magnitude pattern and a field.
 
     ``target_mag`` holds the wanted magnitudes (real, non-negative),
     ``replay`` the complex field to score. Shapes must match exactly.
+
+    Half-plane form: with ``energy`` given, ``target_mag`` is a
+    :class:`FoldedTarget`, ``replay`` holds the leading rows of a Hermitian
+    field and ``energy`` is that field's total energy ``sum(|R|^2)``; the
+    result is the error of the whole field (see the module docstring).
     """
+    if energy is not None:
+        folded = target_mag
+        if folded.folded.shape != replay.shape:
+            raise ValueError(f"shape mismatch: folded target {folded.folded.shape} vs rows {replay.shape}")
+        cross = np.abs(replay).ravel() @ folded.folded.ravel()
+        return float((energy - 2.0 * cross + folded.energy) / folded.size)
     if target_mag.shape != replay.shape:
         raise ValueError(f"shape mismatch: target {target_mag.shape} vs replay {replay.shape}")
     d = np.abs(replay)

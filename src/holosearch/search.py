@@ -13,9 +13,13 @@ variants differ only in two policies:
   how much quantisation moved them (largest change first), served by
   iteration number and repeated pass after pass.
 
-Scoring uses an O(N) single-pixel replay update rather than a full transform;
-``ds-naive`` runs the mathematically identical full-transform path in a loop
-of its own and exists to cross-check the fast one decision-for-decision.
+Scoring uses an O(N) single-pixel replay update rather than a full transform.
+For a real aperture (binary phase and every amplitude scheme) the replay is
+Hermitian, so the loop updates, scores and rolls back only its leading
+``Ny//2 + 1`` rows and mirror-fills the rest once at the end; complex
+apertures use the whole grid. ``ds-naive`` runs the mathematically identical
+full-transform path in a loop of its own and exists to cross-check the fast
+one decision-for-decision.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import delta_update, dft2, idft2
-from .metrics import ConvergenceTrace, mse
+from .field import delta_update, dft2, fill_mirror, half_rows, idft2
+from .metrics import ConvergenceTrace, fold_target, mse
 from .rng import (
     STREAM_ACCEPTANCE,
     STREAM_PHASE,
@@ -162,7 +166,10 @@ class SearchResult:
     """Outcome of one run: final aperture state, score, and history.
 
     ``replay`` is the engine's final replay field (incrementally maintained on
-    the fast paths); ``final_mse`` matches a from-scratch transform of
+    the fast paths; for a real aperture only rows ``0 .. Ny//2`` are, and
+    the rows below are mirror-filled from them, so the field is exactly
+    Hermitian);
+    ``final_mse`` matches a from-scratch transform of
     ``hologram`` to well within the drift bound, and ``hologram`` holds only
     values the scheme allows.
     """
@@ -191,6 +198,11 @@ def _default_schedule(initial_mse: float, n_pixels: int) -> AnnealingSchedule:
     if t_coeff <= 0:
         t_coeff = float(np.finfo(np.float64).tiny)
     return AnnealingSchedule(t_coeff=t_coeff, t0=6.0)
+
+
+def _energy(hologram: np.ndarray) -> float:
+    """Aperture energy sum(|H|^2), which equals the replay's by Parseval."""
+    return float(np.vdot(hologram, hologram).real)
 
 
 def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -228,6 +240,14 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     if annealing:
         schedule = config.schedule or _default_schedule(initial_mse, width * height)
 
+    # A real aperture's candidates are scored on the leading rows of the
+    # replay, from the folded target and the aperture energy.
+    real = config.scheme.is_real
+    rows = half_rows(height) if real else height
+    scored, energy = (fold_target(target_mag), _energy(hologram)) if real else (target_mag, None)
+    candidate_energy = None
+    half = replay[:rows]
+
     trace = ConvergenceTrace()
     trace.append(0, current_mse, 0)
     accepted = 0
@@ -236,8 +256,10 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
         x, y = next_pixel(order, it - 1, width, height, select_rng)
         old_value = hologram[y, x]
         new_value = propose_value(old_value, config.scheme, proposal_rng)
-        increment = delta_update(replay, x, y, new_value - old_value)
-        candidate_mse = mse(target_mag, replay)
+        increment = delta_update(replay, x, y, new_value - old_value, rows)
+        if real:
+            candidate_energy = energy + abs(new_value) ** 2 - abs(old_value) ** 2
+        candidate_mse = mse(scored, half, energy=candidate_energy)
 
         if annealing:
             temperature = schedule.temperature(it - 1, config.iterations)
@@ -247,17 +269,22 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
 
         if keep:
             accepted += 1
-            current_mse = candidate_mse
+            current_mse, energy = candidate_mse, candidate_energy
             hologram[y, x] = new_value
             if accepted % config.recompute_interval == 0:
                 replay = dft2(hologram)
+                half = replay[:rows]
                 current_mse = mse(target_mag, replay)
+                if real:
+                    energy = _energy(hologram)
         else:
-            replay -= increment
+            half -= increment
 
         if it % config.trace_stride == 0 or it == config.iterations:
             trace.append(it, current_mse, accepted)
 
+    if real:
+        fill_mirror(replay, rows)
     return SearchResult(hologram, replay, trace, accepted, current_mse, initial_mse)
 
 

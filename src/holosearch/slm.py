@@ -58,6 +58,12 @@ class ModulationScheme:
             return f"{self.kind}:cont"
         return f"{self.kind}:{self.levels}"
 
+    @property
+    def is_real(self) -> bool:
+        """True when every allowed value is real: binary phase (+1, -1) and
+        every amplitude scheme. The replay of a real aperture is Hermitian."""
+        return self.kind == AMPLITUDE or self.levels == 2
+
     @classmethod
     def from_name(cls, text: str) -> "ModulationScheme":
         """Parse a scheme name.

@@ -9,9 +9,13 @@ callers look them up, and it reads these ``SearchResult`` and report fields.
 
 import dataclasses
 
+import pytest
+
 from holosearch import experiments, search
-from holosearch.experiments import AbReport, ExperimentConfig, RenderReport, run_convergence_ab, run_render
-from holosearch.search import SELECT_RANDOM, SELECT_SPS, SearchResult
+from holosearch.experiments import (AbReport, ExperimentConfig, RenderReport, prepare_target, run_convergence_ab,
+                                   run_render)
+from holosearch.search import SELECT_RANDOM, SELECT_SPS, SearchConfig, SearchResult, run_search
+from holosearch.slm import ModulationScheme
 
 # (module, attribute) pairs the benchmark's layer hooks patch.
 HOOKED = [(search, name) for name in (
@@ -65,6 +69,27 @@ def test_selection_hooks_count_what_they_time(monkeypatch, tmp_path):
         assert [args[1] for name, args in log if name == "next_pixel"] == list(range(iterations))
         assert sum(name == "sps_order" for name, _ in log) == sorts
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("scheme", ["binary-phase", "phase:8"])
+def test_kernel_hooks_count_candidates(monkeypatch, scheme):
+    """``field.delta_update`` and ``metrics.mse`` are timed per call and read
+    as per candidate: on the real-aperture half-plane path as on the complex
+    full-plane path, the loop calls delta_update once per iteration, and mse
+    once per iteration plus once at set-up and once per refresh."""
+    iterations, interval = 300, 3
+    log = []
+    for name in ("delta_update", "mse", "dft2"):
+        count_calls(monkeypatch, search, name, log)
+    target = prepare_target(ExperimentConfig(resolution=64, out_dir=""))
+    res = run_search(target, SearchConfig(iterations=iterations, scheme=ModulationScheme.from_name(scheme),
+                                          recompute_interval=interval), seed=0)
+    calls = {name: sum(n == name for n, _ in log) for name in ("delta_update", "mse", "dft2")}
+    refreshes = res.accepted // interval
+    assert refreshes > 0
+    assert calls["dft2"] == 1 + refreshes
+    assert calls["delta_update"] == iterations
+    assert calls["mse"] == iterations + 1 + refreshes
 
 
 def test_zero_iteration_search_config_constructs():

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from holosearch.field import as_field, delta_update, dft2, idft2
+from holosearch.field import as_field, delta_update, dft2, fill_mirror, half_rows, idft2
 
 
 def dft2_loop(field):
@@ -195,3 +195,48 @@ def test_single_pixel_energy_closed_form():
     delta_update(replay, 3, 5, d)
     mse = float(np.mean(np.abs(replay) ** 2))
     assert abs(mse - d * d / (n * n)) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (7, 10), (10, 7), (9, 9)])
+def test_delta_update_leading_rows(shape):
+    """rows=k adds the first k rows of the full update and leaves the other
+    rows untouched."""
+    rng = np.random.default_rng(112)
+    ny, nx = shape
+    base = random_field(rng, shape)
+    full = base.copy()
+    delta_update(full, nx - 2, ny - 3, 0.4 - 1.1j)
+    for k in (1, half_rows(ny), ny - 1, ny):
+        part = base.copy()
+        inc = delta_update(part, nx - 2, ny - 3, 0.4 - 1.1j, rows=k)
+        assert inc.shape == (k, nx)
+        assert np.array_equal(part[:k], full[:k])
+        assert np.array_equal(part[k:], base[k:])
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (13, 5), (64, 64), (1024, 768)])
+def test_delta_update_table_twiddles_match_exp(shape):
+    """Twiddles read from the roots-of-unity table agree with the direct
+    formula exp(-2j*pi*(u*x/Nx + v*y/Ny)), including the largest angles. The
+    formula's phase is reduced exactly, in integers, to one turn first."""
+    ny, nx = shape
+    v = np.arange(ny)[:, None]
+    u = np.arange(nx)[None, :]
+    for x, y in ((0, 0), (1, 1), (nx - 1, ny - 1), (nx // 3, ny // 2)):
+        inc = delta_update(np.zeros(shape, dtype=np.complex128), x, y, math.sqrt(nx * ny))
+        turns = ((u * x * ny + v * y * nx) % (nx * ny)) / (nx * ny)
+        want = np.exp(-2j * np.pi * turns)
+        assert np.max(np.abs(inc - want)) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (3, 3), (6, 9), (7, 4), (8, 8)])
+def test_fill_mirror_completes_real_aperture_replay(shape):
+    """The replay of a real aperture is recovered from its leading rows."""
+    rng = np.random.default_rng(113)
+    replay = dft2(rng.standard_normal(shape))
+    rows = half_rows(shape[0])
+    filled = replay.copy()
+    filled[rows:] = np.nan
+    fill_mirror(filled, rows)
+    assert np.array_equal(filled[:rows], replay[:rows])
+    assert np.max(np.abs(filled - replay)) < 1e-12

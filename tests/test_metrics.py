@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from holosearch.field import delta_update, dft2, half_rows
 from holosearch.metrics import (
     ConvergenceTrace,
     TraceSample,
     final_error_improvement,
+    fold_target,
     mse,
     pearson,
     relative_improvement,
 )
+from holosearch.slm import ModulationScheme, propose_value, quantise
 
 
 def mse_loop(target_mag, replay):
@@ -59,6 +64,40 @@ def test_mse_phase_insensitive():
 def test_mse_shape_mismatch():
     with pytest.raises(ValueError):
         mse(np.zeros((2, 2)), np.zeros((2, 3), dtype=np.complex128))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(family=st.sampled_from(["binary-phase", "binary-amplitude", "amplitude", "amplitude:cont"]),
+       levels=st.integers(3, 8), height=st.integers(4, 13), width=st.integers(4, 13),
+       seed=st.integers(0, 2**32 - 1))
+def test_half_plane_score_matches_full_transform(family, levels, height, width, seed):
+    """After a random one-pixel change to a real aperture, the score from the
+    leading rows, the folded target and the updated energy equals the full
+    magnitude error of a fresh transform, for any (non-symmetric) target."""
+    scheme = ModulationScheme.from_name(f"amplitude:{levels}" if family == "amplitude" else family)
+    assert scheme.is_real
+    rng = np.random.default_rng(seed)
+    target = rng.random((height, width)) * 2.0
+    hologram = quantise(rng.standard_normal((height, width)) + 1j * rng.standard_normal((height, width)),
+                        scheme)
+    replay = dft2(hologram)
+    rows = half_rows(height)
+    energy = float(np.vdot(hologram, hologram).real)
+    x, y = int(rng.integers(width)), int(rng.integers(height))
+    old = hologram[y, x]
+    new = propose_value(old, scheme, rng)
+    delta_update(replay, x, y, new - old, rows)
+    hologram[y, x] = new
+    score = mse(fold_target(target), replay[:rows], energy=energy + abs(new) ** 2 - abs(old) ** 2)
+    want = mse(target, dft2(hologram))
+    assert abs(score - want) <= 1e-12 * want
+
+
+def test_half_plane_score_shape_mismatch():
+    folded = fold_target(np.ones((6, 5)))
+    assert folded.folded.shape == (4, 5)
+    with pytest.raises(ValueError):
+        mse(folded, np.zeros((3, 5), dtype=np.complex128), energy=1.0)
 
 
 def test_mse_nonnegative():

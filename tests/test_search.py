@@ -567,6 +567,22 @@ def test_replay_refreshed_every_interval_accepts(algorithm, interval, monkeypatc
     assert np.max(np.abs(res.replay - inner(res.hologram))) <= 1e-12
 
 
+@pytest.mark.parametrize("interval", [3, 50_000])
+@pytest.mark.parametrize("algorithm", [ALGO_DS_FAST, ALGO_SA])
+@pytest.mark.parametrize("scheme", ["binary-phase", "binary-amplitude", "amplitude:5", "amplitude:cont"])
+@pytest.mark.parametrize("shape", [(10, 12), (9, 12), (10, 11), (9, 7)])
+def test_real_aperture_replay_is_whole_field(shape, scheme, algorithm, interval):
+    """A real aperture's search maintains only the leading rows of the
+    replay; the returned replay is nonetheless the whole transform of the
+    returned hologram, on every row, for odd and even heights and widths."""
+    rng = np.random.default_rng(15)
+    t = normalize_energy(TargetImage(rng.random(shape) + 0.05))
+    res = run_search(t, SearchConfig(iterations=200, scheme=ModulationScheme.from_name(scheme),
+                                     algorithm=algorithm, recompute_interval=interval), seed=16)
+    assert res.accepted > 3
+    assert np.max(np.abs(res.replay - dft2(res.hologram))) <= 1e-11
+
+
 @pytest.mark.parametrize("algorithm", [ALGO_DS_FAST, ALGO_SA])
 def test_drift_without_refresh_is_bounded(algorithm):
     """With no refresh in the run, the incremental replay drifts through

@@ -1,0 +1,107 @@
+"""Record one benchmark sitting as ``BENCH_<label>.json`` at the repo root.
+
+    python3 tools/bench.py --label LABEL
+
+Run from anywhere; the checkout is the parent of this file's directory. The
+sitting runs, one after another and each in its own process:
+
+* every holobench workload once untraced (``--trace 0``) and once traced
+  (``--trace 1``), at seed 0 for SECONDS each, keeping the result line that
+  ``holobench/run.py`` prints last, its problems and its absent hooks;
+* the tier-1 test suite, timed;
+* one ``holo run-ab --resolution 128 --iterations 20000``, timed, with the
+  BLAS thread cap that holobench applies left off.
+
+The file also names the git HEAD the sitting measured and whether the tree
+had uncommitted changes. Compare two files only when they come from the same
+sitting on the same machine: the host's speed drifts between sittings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SECONDS = 12
+SEED = 0
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+RUN_AB = ["-m", "holosearch.cli", "run-ab", "--resolution", "128", "--iterations", "20000", "--out-dir", "ab"]
+BLAS_CAPS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def workloads() -> list[str]:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return [w["name"] for w in json.load(fh)["workloads"]]
+
+
+def holobench(workload: str, trace: int) -> tuple[dict, dict]:
+    """One holobench run: its result line, and its problems and absent hooks
+    from the report printed before that line; and the environment that report
+    describes."""
+    cmd = ["holobench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
+    out = subprocess.run([sys.executable, *cmd], cwd=ROOT, capture_output=True, text=True)
+    lines = out.stdout.rstrip().splitlines()
+    row = {"command": ["python3", *cmd], "returncode": out.returncode}
+    if out.returncode != 0 or not lines:
+        row["stderr"] = out.stderr[-4000:]
+        return row, {}
+    row["result"] = json.loads(lines[-1])
+    report = json.loads("\n".join(lines[:-1]))
+    row["problems"] = report["problems"]
+    if trace:
+        row["absent_hooks"] = report["detail"]["absent_hooks"]
+    return row, report["environment"]
+
+
+def timed(args: list[str], env: dict, cwd: str = ROOT) -> dict:
+    """Wall time of ``python3 <args>`` run in ``cwd``, with its last stdout line."""
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    tail = out.stdout.rstrip().splitlines()[-1:] or [""]
+    return {"command": ["python3", *args], "wall_s": wall, "returncode": out.returncode, "last_line": tail[0]}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
+    args = ap.parse_args(argv)
+
+    pythonpath = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in pythonpath if p)}
+    uncapped = {k: v for k, v in env.items() if k not in BLAS_CAPS}
+    record = {
+        "label": args.label,
+        "git_head": git("rev-parse", "HEAD"),
+        "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "started": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+    }
+    runs = [holobench(w, trace) for w in workloads() for trace in (0, 1)]
+    record["environment"] = next((e for _, e in runs if e), {})
+    record["holobench"] = [row for row, _ in runs]
+    record["tier1"] = timed(TIER1, env)
+    with tempfile.TemporaryDirectory() as tmp:
+        record["run_ab_128_uncapped"] = timed(RUN_AB, uncapped, cwd=tmp)
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    print(path)
+    failed = [r for r in record["holobench"] if r["returncode"] != 0 or r.get("problems")]
+    return 1 if failed or record["tier1"]["returncode"] or record["run_ab_128_uncapped"]["returncode"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
