@@ -10,13 +10,22 @@ Four subcommands, each a thin wrapper over one experiment:
 Flags may also come from a flat ``key = value`` config file via ``--config``;
 explicit flags win over the file, the file wins over defaults. Keys match the
 flag names (dashes or underscores both work), e.g. ``trace-stride = 50``.
+
+``holo`` runs numpy's BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
+already set, so its output bytes do not depend on the number of cores.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, NamedTuple
+
+# One BLAS thread unless the caller chose a count: a threaded dot product sums
+# in another order, so output bytes would follow the core count. OpenBLAS
+# reads the variable once, when numpy first loads, which is the import below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .experiments import (
     ExperimentConfig,

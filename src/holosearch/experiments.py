@@ -272,25 +272,25 @@ def scatter_sweep(
     replaced by its quantised value; returned are the quantisation-change
     magnitudes ``delta``, the resulting changes in replay error, and the
     replay error of the unquantised aperture they are relative to. One O(N)
-    replay update per pixel.
+    replay update per pixel, which also takes the previous pixel's change back
+    out.
     """
     quantised = quantise(aperture, scheme)
     deltas_all = change_map(aperture, quantised).ravel()
-    replay0 = dft2(aperture)
-    baseline = mse(target.mag, replay0)
+    replay = dft2(aperture)
+    baseline = mse(target.mag, replay)
     width = target.width
     aperture_flat = aperture.ravel()
     quantised_flat = quantised.ravel()
 
     deltas = np.empty(len(indices))
     changes = np.empty(len(indices))
-    scratch = np.empty_like(replay0)
+    move = None
     for row, idx in enumerate(indices):
         idx = int(idx)
-        np.copyto(scratch, replay0)
-        delta_update(scratch, idx % width, idx // width, quantised_flat[idx] - aperture_flat[idx])
+        move = delta_update(replay, idx % width, idx // width, quantised_flat[idx] - aperture_flat[idx], undo=move)
         deltas[row] = deltas_all[idx]
-        changes[row] = mse(target.mag, scratch) - baseline
+        changes[row] = mse(target.mag, replay) - baseline
     return deltas, changes, baseline
 
 

@@ -14,6 +14,12 @@ conjugate of ``R[(-v) % Ny, (-u) % Nx]``. Rows ``0 .. Ny//2``
 over a real aperture updates only those rows (``delta_update(..., rows=)``)
 and mirror-fills the lower rows once, with :func:`fill_mirror`, before it
 hands the field back.
+
+:func:`delta_update` computes its increment, an outer product of two twiddle
+vectors, as one real matrix product per row tile and returns the move it
+added. A search rolls a rejected move back by passing it as the next call's
+``undo``, so taking it out costs no pass of its own; :func:`revert` takes
+back a move that no later update will.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 import mmap
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,7 +112,64 @@ def _twiddles(pos: int, n: int, count: int) -> np.ndarray:
     return _roots(n)[(pos * np.arange(count)) % n]
 
 
-def delta_update(replay: np.ndarray, x: int, y: int, dh: complex, rows: int | None = None) -> np.ndarray:
+# Bytes of increment computed per row tile: small enough that a tile is still
+# in L2 when it is added to the replay.
+_TILE_BYTES = 256 * 1024
+
+
+@lru_cache(maxsize=None)
+def _tile(width: int) -> np.ndarray:
+    """Scratch for one row tile of a real-view increment ``width`` floats
+    wide: ``_TILE_BYTES // (8*width)`` rows, at least two, plus one row that
+    :func:`_add_product` may merge in. Shared, so not safe across threads;
+    mapped outside the malloc heap like :func:`_roots`."""
+    rows = max(2, _TILE_BYTES // (8 * width)) + 1
+    return np.frombuffer(mmap.mmap(-1, 8 * rows * width), dtype=np.float64).reshape(rows, width)
+
+
+class Move(NamedTuple):
+    """The increment of one :func:`delta_update` as its two factors:
+    ``increment[v, u] = p[v] * w[0, u]`` over the rows the update touched.
+    ``w[1]`` is ``1j * w[0]``, so that the float64 views multiply to the
+    float64 view of the increment (see :func:`_add_product`)."""
+
+    p: np.ndarray
+    w: np.ndarray
+
+
+def _add_product(replay: np.ndarray, p: np.ndarray, w: np.ndarray) -> None:
+    """``replay[:rows] += sum_j outer(p[:, j], w[2*j])`` for complex p of shape
+    (rows, m) and w of shape (2m, Nx) whose odd rows are 1j times the even ones.
+
+    In float64 views this is one real matmul, ``(rows x 2m) @ (2m x 2Nx)``:
+    with ``p = a + ib`` and ``w[2j] = c + id``, row ``[a, b]`` times the
+    columns ``[c, -d]`` and ``[d, c]`` gives ``ac - bd`` and ``ad + bc``, the
+    real and imaginary parts of the product. The matmul writes one row tile
+    at a time into a scratch buffer that stays in cache until it is added.
+    """
+    rows = p.shape[0]
+    pf = p.view(np.float64)
+    if rows == 1:
+        # numpy sends a one-row product to gemv, which rounds differently
+        # from gemm; two rows keep rows=1 bit-identical to a full update.
+        pf = np.concatenate((pf, pf))
+    wf = w.view(np.float64)
+    rf = replay.view(np.float64)
+    buf = _tile(wf.shape[1])
+    step = buf.shape[0] - 1
+    r0 = 0
+    while r0 < rows:
+        # A lone last row joins the tile before it, for the same reason.
+        r1 = rows if rows - r0 <= step + 1 else r0 + step
+        part = pf[r0:max(r1, 2)]
+        out = buf[:part.shape[0]]
+        np.matmul(part, wf, out=out)
+        rf[r0:r1] += out[:r1 - r0]
+        r0 = r1
+
+
+def delta_update(replay: np.ndarray, x: int, y: int, dh: complex, rows: int | None = None,
+                 undo: Move | None = None) -> Move:
     """Add the replay-plane effect of changing aperture pixel (x, y) by ``dh``.
 
     ``replay`` must be the unitary forward transform of the aperture and is
@@ -116,33 +180,54 @@ def delta_update(replay: np.ndarray, x: int, y: int, dh: complex, rows: int | No
     which is exactly the transform of a field that is ``dh`` at (x, y) and zero
     elsewhere. Cost is O(Nx*Ny) against O(Nx*Ny*log(Nx*Ny)) for a fresh
     transform. The twiddles come from a cached table of the Nx-th and Ny-th
-    roots of unity.
+    roots of unity, and the increment is computed and added one row tile at a
+    time (:func:`_add_product`), so it never exists as a grid-sized array.
 
     With ``rows`` given, only rows ``0 .. rows-1`` are updated and the other
     rows are left untouched; a Hermitian field needs no more than
     :func:`half_rows`. None updates every row.
 
+    ``undo`` takes back an earlier move in the same pass: the move this
+    function returned for a rejected candidate, over the same rows. A search
+    rolls a rejected candidate back this way, inside the next candidate's
+    update, and takes back one still pending at its end with :func:`revert`.
+
     Returns
     -------
-    numpy.ndarray
-        The increment that was added, of shape (rows, Nx). Rolling back a
-        rejected candidate is ``replay[:rows] -= increment``, which is
-        bit-identical to adding the increment recomputed with ``-dh``.
+    Move
+        The move just added, to pass as a later call's ``undo`` or to
+        :func:`revert`. Taking a move back is not bit-exact: ``R + inc - inc``
+        rounds.
 
     Raises
     ------
     IndexError
         If (x, y) lies outside the grid. The field must be at least 2x2, as
         produced by :func:`as_field`.
+    ValueError
+        If ``undo`` covers a different number of rows.
     """
     ny, nx = replay.shape
     if not (0 <= x < nx and 0 <= y < ny):
         raise IndexError(f"pixel ({x}, {y}) outside {nx}x{ny} grid")
     if rows is None:
         rows = ny
-    wu = _twiddles(x, nx, nx)
-    wv = _twiddles(y, ny, rows)
-    wv *= dh / math.sqrt(nx * ny)
-    inc = np.multiply.outer(wv, wu)
-    replay[:rows] += inc
-    return inc
+    m = 1 if undo is None else 2
+    p = np.empty((rows, m), dtype=np.complex128)
+    w = np.empty((2 * m, nx), dtype=np.complex128)
+    w[0] = _twiddles(x, nx, nx)
+    np.multiply(w[0], 1j, out=w[1])
+    np.multiply(_twiddles(y, ny, rows), dh / math.sqrt(nx * ny), out=p[:, 0])
+    if undo is not None:
+        if undo.p.shape[0] != rows:
+            raise ValueError(f"undo covers {undo.p.shape[0]} rows, this update {rows}")
+        np.negative(undo.p, out=p[:, 1])
+        w[2:] = undo.w
+    _add_product(replay, p, w)
+    return Move(p[:, 0], w[:2])
+
+
+def revert(replay: np.ndarray, move: Move) -> None:
+    """Take ``move`` back out of ``replay``: the rows it touched lose its
+    increment again, to rounding."""
+    _add_product(replay, -move.p[:, None], move.w)

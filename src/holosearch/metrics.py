@@ -4,12 +4,14 @@ The error measure throughout is the phase-insensitive mean squared error
 between target and replay magnitudes: ``mean((|T| - |R|)^2)``. Replay phase is
 free (nothing constrains it physically), so only magnitudes are compared.
 
-A Hermitian replay (that of a real aperture) can be scored exactly from its
-leading :func:`~holosearch.field.half_rows` rows. Expanding the square,
+Expanding the square,
 
     N * mse = E - 2 * sum(|R| * T) + sum(T^2),     E = sum(|R|^2),
 
-and ``|R|`` takes the same value at (v, u) and at its point reflection
+so a search that tracks E scores a candidate with one magnitude pass and one
+dot product. A Hermitian replay (that of a real aperture) can be scored
+exactly from its leading :func:`~holosearch.field.half_rows` rows: ``|R|``
+takes the same value at (v, u) and at its point reflection
 ((-v) % Ny, (-u) % Nx). So the cross term is a sum over the leading rows
 against the folded target ``T_f = w_v * (T + T reflected)``, with w = 1/2 on
 the rows that are their own reflection (row 0, and row Ny/2 when Ny is even)
@@ -36,13 +38,19 @@ class FoldedTarget(NamedTuple):
     size: int
 
 
-def fold_target(target_mag: np.ndarray) -> FoldedTarget:
-    """Fold an (Ny, Nx) magnitude pattern for half-plane scoring.
+def fold_target(target_mag: np.ndarray, hermitian: bool = True) -> FoldedTarget:
+    """A magnitude pattern in the form :func:`mse` scores from aperture energy.
 
-    Returns the (Ny//2 + 1, Nx) array ``T_f``, the target's energy
-    ``sum(T^2)`` and its pixel count, which :func:`mse` needs to score a
-    Hermitian replay from its leading rows alone.
+    For a Hermitian replay, returns the (Ny//2 + 1, Nx) folded array ``T_f``,
+    the target's energy ``sum(T^2)`` and its pixel count, which :func:`mse`
+    needs to score the field from its leading rows alone. With ``hermitian``
+    False the "folded" array is the (Ny, Nx) target itself, scored against
+    every row.
     """
+    flat = target_mag.ravel()
+    energy, size = float(flat @ flat), flat.size
+    if not hermitian:
+        return FoldedTarget(target_mag, energy, size)
     ny, nx = target_mag.shape
     rows = half_rows(ny)
     folded = np.empty((rows, nx))
@@ -57,8 +65,7 @@ def fold_target(target_mag: np.ndarray) -> FoldedTarget:
     folded[0] *= 0.5
     if ny % 2 == 0:
         folded[ny // 2] *= 0.5
-    flat = target_mag.ravel()
-    return FoldedTarget(folded, float(flat @ flat), flat.size)
+    return FoldedTarget(folded, energy, size)
 
 
 def mse(target_mag: np.ndarray | FoldedTarget, replay: np.ndarray, energy: float | None = None) -> float:
@@ -67,10 +74,12 @@ def mse(target_mag: np.ndarray | FoldedTarget, replay: np.ndarray, energy: float
     ``target_mag`` holds the wanted magnitudes (real, non-negative),
     ``replay`` the complex field to score. Shapes must match exactly.
 
-    Half-plane form: with ``energy`` given, ``target_mag`` is a
-    :class:`FoldedTarget`, ``replay`` holds the leading rows of a Hermitian
-    field and ``energy`` is that field's total energy ``sum(|R|^2)``; the
-    result is the error of the whole field (see the module docstring).
+    Energy form: with ``energy`` given, ``target_mag`` is a
+    :class:`FoldedTarget`, ``energy`` is the field's total energy
+    ``sum(|R|^2)`` and ``replay`` holds the rows the folded target covers:
+    the leading rows of a Hermitian field, or every row of any field when
+    the target was not folded. The result is the error of the whole field
+    (see the module docstring).
     """
     if energy is not None:
         folded = target_mag

@@ -13,11 +13,16 @@ variants differ only in two policies:
   how much quantisation moved them (largest change first), served by
   iteration number and repeated pass after pass.
 
-Scoring uses an O(N) single-pixel replay update rather than a full transform.
-For a real aperture (binary phase and every amplitude scheme) the replay is
-Hermitian, so the loop updates, scores and rolls back only its leading
-``Ny//2 + 1`` rows and mirror-fills the rest once at the end; complex
-apertures use the whole grid. ``ds-naive`` runs the mathematically identical
+Scoring uses an O(N) single-pixel replay update rather than a full transform,
+and scores every candidate from the aperture energy:
+``N * mse = E - 2 * sum(|R| * T) + sum(T^2)``, with E moved in O(1) per
+candidate. For a real aperture (binary phase and every amplitude scheme) the
+replay is Hermitian, so the loop updates and scores only its leading
+``Ny//2 + 1`` rows, against the folded target, and mirror-fills the rest once
+at the end; complex apertures use the whole grid. A rejected candidate is
+rolled back inside the next candidate's update (``delta_update(...,
+undo=)``), and one still pending when the loop ends is reverted before the
+replay is returned. ``ds-naive`` runs the mathematically identical
 full-transform path in a loop of its own and exists to cross-check the fast
 one decision-for-decision.
 """
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import delta_update, dft2, fill_mirror, half_rows, idft2
+from .field import delta_update, dft2, fill_mirror, half_rows, idft2, revert
 from .metrics import ConvergenceTrace, fold_target, mse
 from .rng import (
     STREAM_ACCEPTANCE,
@@ -240,13 +245,17 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     if annealing:
         schedule = config.schedule or _default_schedule(initial_mse, width * height)
 
-    # A real aperture's candidates are scored on the leading rows of the
-    # replay, from the folded target and the aperture energy.
+    # Candidates are scored from the aperture energy and the replay's leading
+    # rows: all of them for a complex aperture, the Hermitian half for a real
+    # one (against the folded target).
     real = config.scheme.is_real
     rows = half_rows(height) if real else height
-    scored, energy = (fold_target(target_mag), _energy(hologram)) if real else (target_mag, None)
-    candidate_energy = None
-    half = replay[:rows]
+    scored = fold_target(target_mag, real)
+    energy = _energy(hologram)
+    leading = replay[:rows]
+    # A rejected candidate stays in the replay until the next update takes it
+    # back out in the same pass.
+    pending = None
 
     trace = ConvergenceTrace()
     trace.append(0, current_mse, 0)
@@ -256,10 +265,9 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
         x, y = next_pixel(order, it - 1, width, height, select_rng)
         old_value = hologram[y, x]
         new_value = propose_value(old_value, config.scheme, proposal_rng)
-        increment = delta_update(replay, x, y, new_value - old_value, rows)
-        if real:
-            candidate_energy = energy + abs(new_value) ** 2 - abs(old_value) ** 2
-        candidate_mse = mse(scored, half, energy=candidate_energy)
+        move = delta_update(replay, x, y, new_value - old_value, rows, undo=pending)
+        candidate_energy = energy + abs(new_value) ** 2 - abs(old_value) ** 2
+        candidate_mse = mse(scored, leading, energy=candidate_energy)
 
         if annealing:
             temperature = schedule.temperature(it - 1, config.iterations)
@@ -267,22 +275,22 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
         else:
             keep = candidate_mse < current_mse
 
+        pending = None if keep else move
         if keep:
             accepted += 1
             current_mse, energy = candidate_mse, candidate_energy
             hologram[y, x] = new_value
             if accepted % config.recompute_interval == 0:
                 replay = dft2(hologram)
-                half = replay[:rows]
+                leading = replay[:rows]
                 current_mse = mse(target_mag, replay)
-                if real:
-                    energy = _energy(hologram)
-        else:
-            half -= increment
+                energy = _energy(hologram)
 
         if it % config.trace_stride == 0 or it == config.iterations:
             trace.append(it, current_mse, accepted)
 
+    if pending is not None:
+        revert(replay, pending)
     if real:
         fill_mirror(replay, rows)
     return SearchResult(hologram, replay, trace, accepted, current_mse, initial_mse)

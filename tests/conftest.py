@@ -1,10 +1,16 @@
 """Shared pytest hooks.
 
-Collects the outcome of each acceptance criterion test and prints a
-one-line PASS/FAIL verdict per criterion at the end of the run.
+Caps numpy's BLAS at one thread, as the ``holo`` entry point does, so the
+tests compute what ``holo`` computes. Collects the outcome of each acceptance
+criterion test and prints a one-line PASS/FAIL verdict per criterion at the
+end of the run.
 """
 
+import os
 import re
+
+# Before any test module imports numpy: OpenBLAS reads this once, at load.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 _CRITERION_RE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

@@ -1,10 +1,14 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import holosearch
 from holosearch.cli import _OPTIONS, _SUBCOMMANDS, build_parser, config_from_args, main, parse_config_file
 from holosearch.experiments import ExperimentConfig
 from holosearch.pgm import load_pgm
@@ -29,6 +33,28 @@ def test_run_ab_end_to_end(tmp_path, capsys):
     assert "initial_mse = " in stdout
     assert "improvement_error_reduction = " in stdout
     assert f"wrote {out}/summary.txt" in stdout
+
+
+def test_output_bytes_do_not_follow_blas_threads(tmp_path):
+    """``holo`` caps BLAS at one thread when the caller sets no count, so a
+    run with the variable unset writes what a run with it set to 1 writes.
+    At 128^2 the full-grid error is a dot product long enough for OpenBLAS to
+    split across threads, which sums in another order. summary.txt is left
+    out: it holds the wall time."""
+    src = os.path.dirname(os.path.dirname(holosearch.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    written = {}
+    for threads in (None, "1"):
+        out = tmp_path / f"threads-{threads}"
+        run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "holosearch.cli", "run-ab", "--resolution", "128",
+                        "--iterations", "200", "--out-dir", str(out)],
+                       env=run_env, capture_output=True, check=True, timeout=300)
+        written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "summary.txt"}
+    assert sorted(written[None]) == ["replay_random.pgm", "replay_sps.pgm", "trace_random.csv", "trace_sps.csv"]
+    assert written[None] == written["1"]
 
 
 def test_scatter_end_to_end(tmp_path, capsys):

@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holosearch.field import as_field, delta_update, dft2, fill_mirror, half_rows, idft2
+from holosearch.field import as_field, delta_update, dft2, fill_mirror, half_rows, idft2, revert
 
 
 def dft2_loop(field):
@@ -133,9 +135,11 @@ def test_delta_update_zero_is_noop():
     rng = np.random.default_rng(108)
     replay = random_field(rng, (4, 4))
     keep = replay.copy()
-    inc = delta_update(replay, 1, 2, 0.0 + 0.0j)
+    move = delta_update(replay, 1, 2, 0.0 + 0.0j)
     assert np.array_equal(replay, keep)
-    assert np.array_equal(inc, np.zeros((4, 4), dtype=np.complex128))
+    assert np.array_equal(move.p, np.zeros(4, dtype=np.complex128))
+    delta_update(replay, 2, 3, 0.0 + 0.0j, undo=move)
+    assert np.array_equal(replay, keep)
 
 
 def test_delta_update_matches_full_transform():
@@ -150,14 +154,18 @@ def test_delta_update_matches_full_transform():
 
 
 def test_delta_update_rollback():
-    # rejected move: subtracting the returned increment restores the field
+    # rejected move: reverting the returned move, or undoing it inside a
+    # zero move, restores the field
     rng = np.random.default_rng(110)
     holo = random_field(rng, (8, 8))
     replay = dft2(holo)
     keep = replay.copy()
-    inc = delta_update(replay, 3, 6, 0.8 - 0.2j)
-    replay -= inc
+    move = delta_update(replay, 3, 6, 0.8 - 0.2j)
+    undone = replay.copy()
+    revert(replay, move)
     assert np.max(np.abs(replay - keep)) < 1e-12
+    delta_update(undone, 0, 0, 0.0, undo=move)
+    assert np.max(np.abs(undone - keep)) < 1e-12
 
 
 def test_delta_update_out_of_bounds():
@@ -208,8 +216,9 @@ def test_delta_update_leading_rows(shape):
     delta_update(full, nx - 2, ny - 3, 0.4 - 1.1j)
     for k in (1, half_rows(ny), ny - 1, ny):
         part = base.copy()
-        inc = delta_update(part, nx - 2, ny - 3, 0.4 - 1.1j, rows=k)
-        assert inc.shape == (k, nx)
+        move = delta_update(part, nx - 2, ny - 3, 0.4 - 1.1j, rows=k)
+        assert move.p.shape == (k,)
+        assert move.w.shape == (2, nx)
         assert np.array_equal(part[:k], full[:k])
         assert np.array_equal(part[k:], base[k:])
 
@@ -223,10 +232,67 @@ def test_delta_update_table_twiddles_match_exp(shape):
     v = np.arange(ny)[:, None]
     u = np.arange(nx)[None, :]
     for x, y in ((0, 0), (1, 1), (nx - 1, ny - 1), (nx // 3, ny // 2)):
-        inc = delta_update(np.zeros(shape, dtype=np.complex128), x, y, math.sqrt(nx * ny))
+        replay = np.zeros(shape, dtype=np.complex128)
+        delta_update(replay, x, y, math.sqrt(nx * ny))
         turns = ((u * x * ny + v * y * nx) % (nx * ny)) / (nx * ny)
         want = np.exp(-2j * np.pi * turns)
-        assert np.max(np.abs(inc - want)) < 1e-13
+        assert np.max(np.abs(replay - want)) < 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(height=st.integers(2, 13), width=st.integers(2, 13), real=st.booleans(), leading=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_delta_update_undo_leaves_only_the_new_move(height, width, real, leading, seed):
+    """``delta_update(R, m2, undo=m1)`` after ``delta_update(R, m1)`` gives
+    the transform of the aperture with only m2 applied, on odd and even
+    shapes, for real and complex changes, over every row or the leading
+    half_rows."""
+    rng = np.random.default_rng(seed)
+    holo = random_field(rng, (height, width))
+    replay = dft2(holo)
+    before = replay.copy()
+    rows = half_rows(height) if leading else None
+
+    def change():
+        dh = rng.standard_normal() if real else complex(*rng.standard_normal(2))
+        return int(rng.integers(width)), int(rng.integers(height)), dh
+
+    (x1, y1, dh1), (x2, y2, dh2) = change(), change()
+    m1 = delta_update(replay, x1, y1, dh1, rows)
+    delta_update(replay, x2, y2, dh2, rows, undo=m1)
+    holo[y2, x2] += dh2
+    want = dft2(holo)
+    k = height if rows is None else rows
+    assert np.max(np.abs(replay[:k] - want[:k])) < 1e-12
+    assert np.array_equal(replay[k:], before[k:])
+
+
+@pytest.mark.parametrize("rows", [None, half_rows(41)])
+def test_delta_update_spans_row_tiles(rows):
+    """A grid so wide that its rows take several tiles, the last one partial:
+    the update, and a later one that undoes it, match the direct formula."""
+    ny, nx = 41, 8192
+    k = ny if rows is None else rows
+    v = np.arange(k)[:, None]
+    u = np.arange(nx)[None, :]
+
+    def direct(x, y):
+        return np.exp(-2j * np.pi * ((u * x * ny + v * y * nx) % (nx * ny)) / (nx * ny))
+
+    replay = np.zeros((ny, nx), dtype=np.complex128)
+    scale = math.sqrt(nx * ny)
+    m1 = delta_update(replay, 5000, 17, scale, rows)
+    assert np.max(np.abs(replay[:k] - direct(5000, 17))) < 1e-13
+    delta_update(replay, 123, 40, -2.0 * scale, rows, undo=m1)
+    assert np.max(np.abs(replay[:k] + 2.0 * direct(123, 40))) < 1e-13
+    assert not replay[k:].any()
+
+
+def test_delta_update_undo_rows_must_match():
+    replay = np.zeros((6, 4), dtype=np.complex128)
+    move = delta_update(replay, 1, 1, 1.0, half_rows(6))
+    with pytest.raises(ValueError):
+        delta_update(replay, 2, 2, 1.0, undo=move)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 5), (3, 3), (6, 9), (7, 4), (8, 8)])

@@ -583,6 +583,19 @@ def test_real_aperture_replay_is_whole_field(shape, scheme, algorithm, interval)
     assert np.max(np.abs(res.replay - dft2(res.hologram))) <= 1e-11
 
 
+@pytest.mark.parametrize("scheme", ["binary-phase", "phase:8"])
+def test_replay_excludes_a_last_rejected_candidate(scheme):
+    """A rejected candidate leaves the replay only when the next update takes
+    it back out; one rejected on the last iteration is taken out before the
+    search returns, on the real half-plane path and the complex full one."""
+    t = small_target(12)
+    res = run_search(t, SearchConfig(iterations=400, scheme=ModulationScheme.from_name(scheme),
+                                     trace_stride=1), seed=21)
+    last, before = res.trace.samples[-1], res.trace.samples[-2]
+    assert last.iteration == 400 and last.accepted == before.accepted > 0
+    assert np.max(np.abs(res.replay - dft2(res.hologram))) <= 1e-11
+
+
 @pytest.mark.parametrize("algorithm", [ALGO_DS_FAST, ALGO_SA])
 def test_drift_without_refresh_is_bounded(algorithm):
     """With no refresh in the run, the incremental replay drifts through

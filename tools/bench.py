@@ -9,8 +9,9 @@ sitting runs, one after another and each in its own process:
   (``--trace 1``), at seed 0 for SECONDS each, keeping the result line that
   ``holobench/run.py`` prints last, its problems and its absent hooks;
 * the tier-1 test suite, timed;
-* one ``holo run-ab --resolution 128 --iterations 20000``, timed, with the
-  BLAS thread cap that holobench applies left off.
+* one ``holo run-ab --resolution 128 --iterations 20000``, timed, with no
+  BLAS thread variable in its environment, so it runs with ``holo``'s own
+  default (one thread); the record keeps the key ``run_ab_128_uncapped``.
 
 The file also names the git HEAD the sitting measured and whether the tree
 had uncommitted changes. Compare two files only when they come from the same
