@@ -98,10 +98,71 @@ def sps_order(changes: np.ndarray) -> np.ndarray:
 
     Pixels are visited in descending order of quantisation-change magnitude;
     equal magnitudes keep ascending pixel-index order, so the permutation is
-    fully determined by the change map.
+    fully determined by the change map. It equals
+    ``np.argsort(-changes.ravel(), kind="stable")``, with -0.0 taken as 0.0.
+
+    ``changes`` must be non-negative and finite, as :func:`change_map`
+    produces it; a negative, NaN or infinite entry raises ValueError.
+
+    The order comes from one sort of N packed 64-bit keys. For a
+    non-negative float the bit pattern grows with the value, so the
+    complemented pattern, shifted left past the sign bit (which also folds
+    -0.0 onto 0.0), sorts the largest value first. Its low k bits, k =
+    ``(N-1).bit_length()``, are replaced by the pixel index, which orders
+    equal values by index. Values that differ only in the bits dropped can
+    share a key prefix in the wrong order; only runs of equal prefixes that
+    hold unequal values are re-sorted by their full values.
     """
     flat = np.asarray(changes, dtype=np.float64).ravel()
-    return np.argsort(-flat, kind="stable")
+    n = flat.size
+    if n == 0:
+        return np.empty(0, dtype=np.intp)
+    low, high = flat.min(), flat.max()
+    if not (low >= 0.0 and high < math.inf):
+        raise ValueError("changes must be non-negative and finite")
+    if low == high:
+        return np.arange(n, dtype=np.intp)
+    shift = np.uint64((n - 1).bit_length())
+    index_mask = (np.uint64(1) << shift) - np.uint64(1)
+    keys = np.empty(n, dtype=np.uint64)
+    np.left_shift(flat.view(np.uint64), np.uint64(1), out=keys)
+    np.invert(keys, out=keys)
+    keys &= ~index_mask
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()
+    _sort_prefix_runs(keys, flat, shift, index_mask)
+    keys &= index_mask
+    return keys.view(np.int64)
+
+
+def _sort_prefix_runs(keys: np.ndarray, flat: np.ndarray, shift: np.uint64, index_mask: np.uint64) -> None:
+    """Re-sort by full value, in place, each run of sorted packed keys (see
+    :func:`sps_order`) whose prefixes are equal but whose values are not.
+
+    A run's members are in index order after the key sort, so a stable sort
+    on the descending value orders them as the stable argsort would. Runs of
+    exactly equal values are already right and are left alone.
+    """
+    shared = np.flatnonzero((keys[1:] ^ keys[:-1]) <= index_mask)
+    if shared.size == 0:
+        return
+    first = keys[shared] & index_mask
+    second = keys[shared + 1] & index_mask
+    # Sorted, with a repeat for each further unequal pair in one run. (Not
+    # np.unique: its first call imports numpy.ma, whose long-lived objects,
+    # placed among a search's freed temporaries, keep the malloc heap from
+    # shrinking.)
+    prefixes = keys[shared[flat[first] != flat[second]]] >> shift
+    if prefixes.size == 0:
+        return
+    prefixes = prefixes[np.concatenate(([True], prefixes[1:] != prefixes[:-1]))] << shift
+    starts = np.searchsorted(keys, prefixes, side="left")
+    ends = np.searchsorted(keys, prefixes | index_mask, side="right")
+    lengths = ends - starts
+    offsets = np.cumsum(lengths) - lengths
+    at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
+    run = keys[at]
+    keys[at] = run[np.lexsort((-flat[run & index_mask], run >> shift))]
 
 
 def next_pixel(order: np.ndarray | None, n: int, width: int, height: int, rng: np.random.Generator) -> tuple[int, int]:
@@ -212,11 +273,16 @@ def _energy(hologram: np.ndarray) -> float:
 
 def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Set-up shared by every algorithm: the quantised random-phase
-    back-projection, its replay, and the sps order (None for random)."""
+    back-projection, its replay, and the sps order (None for random).
+
+    The back-projection is dropped as soon as the change map is taken, so it
+    is not held through the transform and the sort."""
     projected = back_project(target, substream(seed, STREAM_PHASE))
     hologram = quantise(projected, config.scheme)
+    changes = change_map(projected, hologram) if config.selection == SELECT_SPS else None
+    del projected
     replay = dft2(hologram)
-    order = sps_order(change_map(projected, hologram)) if config.selection == SELECT_SPS else None
+    order = None if changes is None else sps_order(changes)
     return hologram, replay, order
 
 

@@ -131,18 +131,28 @@ def _phase_index(values: np.ndarray, n: int) -> np.ndarray:
     an exact half-integer t the two neighbors are complex-equidistant, and the
     lower (mod n) index wins. A float value can tie exactly only at a multiple
     of pi/4 (or at zero); for those angles angle/pi is exact, so t is formed
-    as angle/pi * (n/2) to land exactly on the half-integer.
+    as angle/pi * (n/2) to land exactly on the half-integer. The angle is
+    taken with the real part plus 0.0, which makes a -0.0 real part +0.0, so
+    a zero of either sign has angle 0 and, like every tie, goes to level 0.
     """
-    t = np.angle(values).ravel() / np.pi * (n / 2)
-    k_down = np.ceil(t - 0.5)
-    k_up = np.floor(t + 0.5)
-    k = k_down
-    tie = k_down != k_up
+    flat = values.reshape(-1)
+    t = flat.real + 0.0
+    np.arctan2(flat.imag, t, out=t)
+    t /= np.pi
+    t *= n / 2
+    k = t - 0.5
+    np.ceil(k, out=k)
+    # t becomes the upper candidate; the two differ only on a tie.
+    t += 0.5
+    np.floor(t, out=t)
+    tie = k != t
     if np.any(tie):
-        down_mod = np.mod(k_down[tie], n)
-        up_mod = np.mod(k_up[tie], n)
-        k[tie] = np.where(up_mod < down_mod, k_up[tie], k_down[tie])
-    return np.mod(k, n).astype(np.intp).reshape(np.shape(values))
+        down_mod = np.mod(k[tie], n)
+        up_mod = np.mod(t[tie], n)
+        k[tie] = np.where(up_mod < down_mod, t[tie], k[tie])
+    k = k.astype(np.intp)
+    k %= n
+    return k.reshape(np.shape(values))
 
 
 def _amplitude_index(values: np.ndarray, n: int) -> np.ndarray:

@@ -120,6 +120,65 @@ def test_sps_order_is_permutation_and_sorted():
     assert np.all(np.diff(served) <= 0)
 
 
+def stable_argsort(changes):
+    """The oracle sps_order is pinned to: a stable argsort of the negated map."""
+    return np.argsort(-np.asarray(changes, dtype=np.float64).ravel(), kind="stable")
+
+
+def ulp_neighbours(bases, rng):
+    """Each base moved up by 0 to 3 ulps: values whose packed sort keys share
+    their prefix while the values differ."""
+    values = np.array(bases, dtype=np.float64)
+    for _ in range(3):
+        step = rng.random(values.size) < 0.5
+        values[step] = np.nextafter(values[step], np.inf)
+    return values
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n=st.one_of(st.integers(1, 300), st.sampled_from([2**k + d for k in range(1, 13) for d in (0, 1)])),
+       bases=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]),
+                                st.floats(0.0, 2.0),
+                                st.floats(0.0, 2.2250738585072014e-308),
+                                st.floats(0.0, 1e300)), min_size=1, max_size=6),
+       spread=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_sps_order_matches_stable_argsort(n, bases, spread, seed):
+    """Heavy duplicates, 1-3 ulp neighbours, zeros of both signs,
+    subnormals, and a share ``spread`` of distinct values, at sizes 1-300 and
+    around powers of two (where the index field of the key gains a bit)."""
+    rng = np.random.default_rng(seed)
+    values = ulp_neighbours(np.array(bases)[rng.integers(len(bases), size=n)], rng)
+    distinct = rng.random(n) < spread
+    values[distinct] = rng.random(int(distinct.sum())) * 2.0
+    order = sps_order(values)
+    assert order.dtype.kind == "i"
+    assert np.array_equal(order, stable_argsort(values))
+
+
+def test_sps_order_matches_stable_argsort_at_1024():
+    """A 1024^2 change map of a quantised random field, and one of heavy
+    duplicates and ulp neighbours, whose keys share prefixes in long runs."""
+    rng = np.random.default_rng(612)
+    field = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    changes = change_map(field, quantise(field, BINARY_PHASE))
+    assert np.array_equal(sps_order(changes), stable_argsort(changes))
+    values = ulp_neighbours(rng.choice([0.0, 0.25, 1.0, 1.5], size=1 << 20), rng).reshape(1024, 1024)
+    assert np.array_equal(sps_order(values), stable_argsort(values))
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, np.nan, np.inf, -np.inf])
+def test_sps_order_rejects_negative_or_non_finite(bad):
+    changes = np.ones((4, 4))
+    changes[2, 1] = bad
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        sps_order(changes)
+
+
+def test_sps_order_of_no_pixels_is_empty():
+    assert sps_order(np.zeros((0, 3))).size == 0
+
+
 def test_next_pixel_sorted_serves_each_once_then_wraps():
     rng = np.random.default_rng(602)
     w = h = 16

@@ -18,6 +18,7 @@ from holosearch.slm import (
     AMPLITUDE,
     PHASE,
     ModulationScheme,
+    _phase_index,
     amplitude_levels,
     change_map,
     is_allowed,
@@ -210,6 +211,25 @@ def test_quantise_exact_ties_go_to_lower_index(scheme):
         assert table[nearest[0]] == level, (scheme.name, value)
     assert ties
 
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_phase_index_at_the_modulo_edges(n):
+    """At angle +-pi, where k_down = ceil(t - 1/2) goes negative, and at
+    signed zeros, whose angle follows the zeros' signs, the index is the
+    oracle's: the nearest level, the lowest index on a tie (every level for a
+    zero). Sizes include the smallest subnormal off the negative axis."""
+    values = []
+    for r in (5e-324, 1e-3, 1.0, 4.0):
+        values += [complex(-r, 0.0), complex(-r, -0.0), complex(-r, 5e-324), complex(-r, -5e-324),
+                   complex(-0.0, r), complex(-0.0, -r)]
+    values += [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    scheme = ModulationScheme(PHASE, n)
+    want = [int(nearest_levels(v, scheme)[0]) for v in values]
+    assert _phase_index(np.array(values), n).tolist() == want
+    grid = np.array(values[:24], dtype=np.complex128).reshape(4, 6)
+    assert np.array_equal(_phase_index(grid, n), np.reshape(want[:24], (4, 6)))
+    assert np.array_equal(quantise(np.array(values), scheme), scheme.allowed_values()[want])
 
 def test_quantise_continuous_phase_keeps_angle():
     rng = np.random.default_rng(202)
