@@ -75,7 +75,6 @@ def summary(metric: dict, pairs: list[tuple[dict, dict]]) -> dict:
     base = [p[name] for p, _ in pairs]
     change = [c[name] for _, c in pairs]
     wins = sum((c > p) if higher else (c < p) for p, c in zip(base, change))
-    losses = sum((c < p) if higher else (c > p) for p, c in zip(base, change))
     q1, q3 = quartiles(base)
     med_base, med_change = statistics.median(base), statistics.median(change)
     return {
@@ -83,7 +82,7 @@ def summary(metric: dict, pairs: list[tuple[dict, dict]]) -> dict:
         "base_median": med_base, "base_quartiles": [q1, q3],
         "change_median": med_change, "change_quartiles": list(quartiles(change)),
         "ratio": med_change / med_base if med_base else None,
-        "wins": wins, "losses": losses, "pairs": len(pairs),
+        "wins": wins, "pairs": len(pairs),
         "gain": 10 * wins >= 9 * len(pairs) and abs(med_change - med_base) > q3 - q1,
     }
 
