@@ -120,8 +120,6 @@ def sps_order(changes: np.ndarray) -> np.ndarray:
     low, high = flat.min(), flat.max()
     if not (low >= 0.0 and high < math.inf):
         raise ValueError("changes must be non-negative and finite")
-    if low == high:
-        return np.arange(n, dtype=np.intp)
     shift = np.uint64((n - 1).bit_length())
     index_mask = (np.uint64(1) << shift) - np.uint64(1)
     keys = np.empty(n, dtype=np.uint64)

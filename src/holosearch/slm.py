@@ -177,8 +177,9 @@ def quantise(f, scheme: ModulationScheme) -> np.ndarray:
     arr = np.asarray(f, dtype=np.complex128)
     if scheme.kind == PHASE:
         if scheme.levels is None:
-            out = np.exp(1j * np.angle(arr))
-            return out
+            # arctan2 is np.angle's formula; the real part plus 0.0 gives a
+            # zero of either sign angle 0, as in _phase_index.
+            return np.exp(1j * np.arctan2(arr.imag, arr.real + 0.0))
         return phase_levels(scheme.levels)[_phase_index(arr, scheme.levels)]
     if scheme.levels is None:
         return np.clip(arr.real, 0.0, 1.0) + 0j

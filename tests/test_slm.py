@@ -242,6 +242,11 @@ def test_quantise_continuous_phase_keeps_angle():
 def test_quantise_continuous_phase_zero_pixel():
     out = quantise(np.zeros((1, 1), dtype=np.complex128), CONT_PHASE)
     assert out[0, 0] == 1.0 + 0.0j
+    # a zero of either sign in either part, as back-projecting an all-zero
+    # target gives, maps to +1 like the discrete phase schemes' zero
+    zeros = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
+    assert np.array_equal(quantise(zeros, CONT_PHASE), np.ones(4, dtype=np.complex128))
+    assert np.array_equal(quantise(zeros, BINARY_PHASE), np.ones(4, dtype=np.complex128))
 
 
 def test_quantise_continuous_amplitude():

@@ -46,13 +46,13 @@ def workloads() -> list[str]:
         return [w["name"] for w in json.load(fh)["workloads"]]
 
 
-def holobench(workload: str, trace: int) -> tuple[dict, dict]:
-    """One holobench run: its result line, and its problems and absent hooks
-    from the report printed before that line; and the environment that report
-    describes."""
-    cmd = ["holobench/run.py", "--workload", workload, "--seed", str(SEED),
+def holobench(workload: str, trace: int, tree: str = ROOT, seed: int = SEED) -> tuple[dict, dict]:
+    """One holobench run in the checkout ``tree``: its result line, and its
+    problems and absent hooks from the report printed before that line; and
+    the environment that report describes."""
+    cmd = ["holobench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    out = subprocess.run([sys.executable, *cmd], cwd=ROOT, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, *cmd], cwd=tree, capture_output=True, text=True)
     lines = out.stdout.rstrip().splitlines()
     row = {"command": ["python3", *cmd], "returncode": out.returncode}
     if out.returncode != 0 or not lines:
@@ -64,6 +64,12 @@ def holobench(workload: str, trace: int) -> tuple[dict, dict]:
     if trace:
         row["absent_hooks"] = report["detail"]["absent_hooks"]
     return row, report["environment"]
+
+
+def failed(row: dict) -> bool:
+    """Whether a :func:`holobench` run failed: it exited non-zero or printed
+    no result, reported problems, or its result is not ``correct``."""
+    return "result" not in row or bool(row["problems"]) or not row["result"]["correct"]
 
 
 def timed(args: list[str], env: dict, cwd: str = ROOT) -> dict:
@@ -100,8 +106,8 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     print(path)
-    failed = [r for r in record["holobench"] if r["returncode"] != 0 or r.get("problems")]
-    return 1 if failed or record["tier1"]["returncode"] or record["run_ab_128_uncapped"]["returncode"] else 0
+    bad = [r for r in record["holobench"] if failed(r)]
+    return 1 if bad or record["tier1"]["returncode"] or record["run_ab_128_uncapped"]["returncode"] else 0
 
 
 if __name__ == "__main__":

@@ -1,23 +1,21 @@
 """Compare a commit with the working tree in alternating holobench pairs.
 
-    python3 tools/pairs.py --rev REV --workload W [--pairs 10] [--seconds 12]
-                           [--first-seed 1] [--json FILE]
+    python3 tools/pairs.py --rev REV --workload W [--pairs 10] [--first-seed 1]
 
 Run from anywhere; the checkout is the parent of this file's directory. REV
 is exported with ``git archive`` into a temporary directory outside the
 checkout and removed afterwards; the working tree runs as it is, uncommitted
 changes included. Pair i (i = 0 .. pairs-1) runs ``holobench/run.py
---workload W --seed first_seed+i --seconds S --trace 0`` once in each tree,
-each in its own process, the commit first in even pairs and the working tree
-first in odd ones.
+--workload W --seed first_seed+i --trace 0`` for ``bench.SECONDS`` once in
+each tree, each in its own process through ``bench.holobench``, the commit
+first in even pairs and the working tree first in odd ones.
 
 For every end-to-end metric that BENCHMARK.json names, it prints each side's
 median and quartiles, and in how many pairs the working tree was better
 (ties count for neither side). ``gain`` reads yes when the working tree won at
 least nine tenths of the pairs and the medians differ by more than the
-distance between the commit's quartiles. A run that fails or reports
-``correct: false`` is listed and left out of its pair. ``--json`` also writes
-every run's metrics to FILE.
+distance between the commit's quartiles. A run that ``bench.failed`` counts
+as failed is listed and left out of its pair.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from bench import ROOT, SECONDS, failed, holobench
 
 
 def end_to_end() -> list[dict]:
@@ -48,18 +46,12 @@ def export(rev: str, dest: str) -> str:
     return commit
 
 
-def holobench(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
+def metrics(tree: str, workload: str, seed: int) -> dict | None:
     """Metric values of one untraced run in ``tree``, or None if it failed."""
-    cmd = [sys.executable, "holobench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = out.stdout.rstrip().splitlines()
-    if out.returncode != 0 or not lines:
+    row, _ = holobench(workload, 0, tree, seed)
+    if failed(row):
         return None
-    result = json.loads(lines[-1])
-    if not result["correct"]:
-        return None
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    return {k: v["value"] for k, v in row["result"]["metrics"].items()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -92,27 +84,24 @@ def main(argv=None) -> int:
     ap.add_argument("--rev", required=True, help="commit to compare the working tree with")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=12)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--json", help="also write every run and the summary to this file")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0 or args.first_seed < 0:
-        ap.error("--pairs must be >= 1, --seconds > 0 and --first-seed >= 0")
+    if args.pairs < 1 or args.first_seed < 0:
+        ap.error("--pairs must be >= 1 and --first-seed >= 0")
 
     tmp = tempfile.mkdtemp(prefix="holosearch-pairs-")
     try:
         commit = export(args.rev, tmp)
         trees = {"base": tmp, "change": ROOT}
-        runs, pairs, failed = [], [], []
+        pairs, lost = [], []
         for i in range(args.pairs):
             seed = args.first_seed + i
             sides = ("base", "change") if i % 2 == 0 else ("change", "base")
             got = {}
             for side in sides:
-                got[side] = holobench(trees[side], args.workload, seed, args.seconds)
-                runs.append({"pair": i, "seed": seed, "side": side, "metrics": got[side]})
+                got[side] = metrics(trees[side], args.workload, seed)
                 if got[side] is None:
-                    failed.append(f"pair {i} (seed {seed}): {side}")
+                    lost.append(f"pair {i} (seed {seed}): {side}")
             if got["base"] is not None and got["change"] is not None:
                 pairs.append((got["base"], got["change"]))
             print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
@@ -121,7 +110,7 @@ def main(argv=None) -> int:
 
     rows = [summary(m, pairs) for m in end_to_end()] if pairs else []
     print(f"{args.workload}: {commit[:12]} (base) against the working tree (change), "
-          f"{len(pairs)} of {args.pairs} pairs, {args.seconds:g} s runs, "
+          f"{len(pairs)} of {args.pairs} pairs, {SECONDS:g} s runs, "
           f"seeds {args.first_seed}..{args.first_seed + args.pairs - 1}")
     print(f"{'metric':14s} {'base median [quartiles]':>34s} {'change median [quartiles]':>34s} "
           f"{'ratio':>7s} {'wins':>6s}  gain")
@@ -131,14 +120,9 @@ def main(argv=None) -> int:
         ratio = f"{r['ratio']:.3f}" if r["ratio"] is not None else "-"
         print(f"{r['metric']:14s} {base:>34s} {change:>34s} {ratio:>7s} "
               f"{r['wins']:>3d}/{r['pairs']:<2d}  {'yes' if r['gain'] else 'no'}")
-    for f in failed:
-        print(f"failed: {f}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"rev": commit, "workload": args.workload, "seconds": args.seconds,
-                       "runs": runs, "summary": rows, "failed": failed}, fh, indent=1)
-            fh.write("\n")
-    return 1 if failed or not pairs else 0
+    for run in lost:
+        print(f"failed: {run}")
+    return 1 if lost or not pairs else 0
 
 
 if __name__ == "__main__":
