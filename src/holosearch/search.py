@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import delta_update, dft2, fill_mirror, half_rows, idft2, revert
+from .field import delta_update, dft2, fill_mirror, half_rows, idft2, revert, unit_phasors
 from .metrics import ConvergenceTrace, fold_target, mse
 from .rng import (
     STREAM_ACCEPTANCE,
@@ -185,8 +185,9 @@ def back_project(target: TargetImage, rng: np.random.Generator) -> np.ndarray:
     whole grid. Energy is preserved exactly up to rounding; an all-zero target
     back-projects to the all-zero aperture.
     """
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=target.shape)
-    return idft2(target.mag * np.exp(1j * phases))
+    field = unit_phasors(rng.uniform(0.0, 2.0 * np.pi, size=target.shape))
+    field *= target.mag
+    return idft2(field)
 
 
 @dataclass(frozen=True)

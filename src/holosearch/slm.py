@@ -15,10 +15,13 @@ and conformance checks agree bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .field import unit_phasors
 
 PHASE = "phase"
 AMPLITUDE = "amplitude"
@@ -179,7 +182,7 @@ def quantise(f, scheme: ModulationScheme) -> np.ndarray:
         if scheme.levels is None:
             # arctan2 is np.angle's formula; the real part plus 0.0 gives a
             # zero of either sign angle 0, as in _phase_index.
-            return np.exp(1j * np.arctan2(arr.imag, arr.real + 0.0))
+            return unit_phasors(np.arctan2(arr.imag, arr.real + 0.0))
         return phase_levels(scheme.levels)[_phase_index(arr, scheme.levels)]
     if scheme.levels is None:
         return np.clip(arr.real, 0.0, 1.0) + 0j
@@ -225,7 +228,8 @@ def propose_value(current: complex, scheme: ModulationScheme, rng: np.random.Gen
         return complex(table[j])
     if scheme.kind == PHASE:
         while True:
-            v = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+            t = rng.uniform(0.0, 2.0 * np.pi)
+            v = complex(math.cos(t), math.sin(t))
             if abs(v - current) > 1e-12:
                 return v
     while True:

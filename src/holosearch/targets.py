@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import unit_phasors
+
 # Fixed generator seed for the synthetic texture; part of what makes builtin
 # targets byte-identical run to run on one numpy build and CPU. Across builds
 # and CPUs numpy's SIMD ``**`` may round differently in the last bit, so the
@@ -116,12 +118,18 @@ def synthetic_mandrill(size: int) -> TargetImage:
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
     rng = np.random.default_rng(np.random.SeedSequence(_TEXTURE_SEED))
-    fy = np.fft.fftfreq(size)[:, None]
-    fx = np.fft.fftfreq(size)[None, :]
-    f = np.hypot(fy, fx)
-    amp = (f + 1.0 / size) ** -1.2
+    # fftfreq is exactly antisymmetric, f[size - k] == -f[k], and hypot ignores
+    # signs, so the amplitude is computed on rows and columns 0 .. size//2
+    # and mirrored into the rest.
+    h = size // 2 + 1
+    fq = np.fft.fftfreq(size)[:h]
+    amp = np.empty((size, size))
+    amp[:h, :h] = (np.hypot(fq[:, None], fq[None, :]) + 1.0 / size) ** -1.2
+    amp[:h, h:] = amp[:h, size - h:0:-1]
+    amp[h:] = amp[size - h:0:-1]
     amp[0, 0] = 0.0  # flat offset added back by the [0, 1] rescale
-    spec = amp * np.exp(2j * np.pi * rng.random((size, size)))
+    spec = unit_phasors(2 * np.pi * rng.random((size, size)))
+    spec *= amp
     tex = np.fft.ifft2(spec).real
     lo, hi = tex.min(), tex.max()
     tex = (tex - lo) / (hi - lo)

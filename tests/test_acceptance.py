@@ -1,13 +1,17 @@
 """Acceptance criteria, one test per criterion.
 
 Criteria 1, 2 and 8 share two benchmark sweeps (direct search and simulated
-annealing: 10 seeds x {random, sps} at 128x128), built once per module.
+annealing: 10 seeds x {random, sps} at 128x128), built once per module in a
+two-process pool. Each seed's searches own their random streams, so the
+pooled cells are the serial ones; a test checks that on a short sweep.
 Each test prints the numbers it gates on; conftest prints a one-line
 PASS/FAIL verdict per criterion after the run.
 """
 
+import functools
 import hashlib
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -41,6 +45,10 @@ BINARY_PHASE = ModulationScheme("phase", 2)
 
 BENCH_SEEDS = list(range(10))
 BENCH_ITERATIONS = 20_000
+BENCH_WORKERS = 2
+# A sweep takes under a minute; a worker that hangs fails the sweep instead
+# of stalling the suite.
+SWEEP_TIMEOUT_S = 900
 
 
 @pytest.fixture(scope="module")
@@ -48,33 +56,57 @@ def bench_target():
     return normalize_energy(induce_symmetry(synthetic_mandrill(128)))
 
 
-def _sweep(target, algorithm):
-    """10-seed A/B sweep: per-seed improvement and accepted counts."""
-    cells = []
-    for seed in BENCH_SEEDS:
-        runs = {}
-        for selection in (SELECT_RANDOM, SELECT_SPS):
-            cfg = SearchConfig(iterations=BENCH_ITERATIONS, scheme=BINARY_PHASE,
-                               algorithm=algorithm, selection=selection)
-            runs[selection] = run_search(target, cfg, seed)
-        cells.append({
-            "seed": seed,
-            "improvement": relative_improvement(
-                runs[SELECT_RANDOM].trace, runs[SELECT_SPS].trace),
-            "accepted_random": runs[SELECT_RANDOM].accepted,
-            "accepted_sps": runs[SELECT_SPS].accepted,
-        })
-    return cells
+@pytest.fixture(scope="module")
+def pool():
+    """Worker processes for the sweeps. Spawned, not forked: each worker
+    loads numpy afresh, under the one-thread BLAS cap conftest put in the
+    environment (a forked child would inherit the parent's loaded BLAS)."""
+    with multiprocessing.get_context("spawn").Pool(BENCH_WORKERS) as p:
+        yield p
+
+
+def _cell(target, algorithm, iterations, seed):
+    """One seed of an A/B sweep: improvement of sps over random, and the
+    accepted counts of both arms."""
+    runs = {}
+    for selection in (SELECT_RANDOM, SELECT_SPS):
+        cfg = SearchConfig(iterations=iterations, scheme=BINARY_PHASE,
+                           algorithm=algorithm, selection=selection)
+        runs[selection] = run_search(target, cfg, seed)
+    return {
+        "seed": seed,
+        "improvement": relative_improvement(
+            runs[SELECT_RANDOM].trace, runs[SELECT_SPS].trace),
+        "accepted_random": runs[SELECT_RANDOM].accepted,
+        "accepted_sps": runs[SELECT_SPS].accepted,
+    }
+
+
+def _sweep(target, algorithm, seeds=BENCH_SEEDS, iterations=BENCH_ITERATIONS, pool=None):
+    """A/B sweep: one cell per seed, in seed order. With a pool, one seed
+    per task; without, in this process."""
+    cell = functools.partial(_cell, target, algorithm, iterations)
+    if pool is None:
+        return [cell(seed) for seed in seeds]
+    return pool.map_async(cell, seeds, chunksize=1).get(timeout=SWEEP_TIMEOUT_S)
 
 
 @pytest.fixture(scope="module")
-def ds_cells(bench_target):
-    return _sweep(bench_target, ALGO_DS_FAST)
+def ds_cells(bench_target, pool):
+    return _sweep(bench_target, ALGO_DS_FAST, pool=pool)
 
 
 @pytest.fixture(scope="module")
-def sa_cells(bench_target):
-    return _sweep(bench_target, ALGO_SA)
+def sa_cells(bench_target, pool):
+    return _sweep(bench_target, ALGO_SA, pool=pool)
+
+
+@pytest.mark.parametrize("algorithm", [ALGO_DS_FAST, ALGO_SA])
+def test_pooled_sweep_equals_serial_sweep(bench_target, pool, algorithm):
+    """The pool changes where the sweep's searches run, not their numbers."""
+    serial = _sweep(bench_target, algorithm, seeds=[0, 1], iterations=2000)
+    pooled = _sweep(bench_target, algorithm, seeds=[0, 1], iterations=2000, pool=pool)
+    assert pooled == serial
 
 
 def test_criterion_1_sps_improvement_band(ds_cells):

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosearch.field import as_field, delta_update, dft2, fill_mirror, half_rows, idft2, revert
+from holosearch.field import (
+    as_field,
+    delta_update,
+    dft2,
+    fill_mirror,
+    half_rows,
+    idft2,
+    revert,
+    unit_phasors,
+)
 
 
 def dft2_loop(field):
@@ -48,6 +57,33 @@ def idft2_loop(field):
 
 def random_field(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def same_bytes(a, b) -> bool:
+    """Equal dtype, shape and bytes: unlike ==, tells -0.0 from 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# -------------------------------------------------------------- unit_phasors
+
+
+def test_unit_phasors_equal_complex_exp_bit_for_bit():
+    # Pins, per numpy build, that cos/sin written into the two parts give
+    # the bytes of numpy's complex exp, which the set-up code used before.
+    edges = [0.0, -0.0, math.pi / 2, math.pi, math.nextafter(2 * math.pi, 0.0), 1e6]
+    theta = np.concatenate((edges, np.random.default_rng(111).uniform(-8.0, 8.0, 100_000)))
+    assert same_bytes(unit_phasors(theta), np.exp(1j * theta))
+    # sin(-0.0) is -0.0, but 1j * -0.0 has a +0.0 imaginary part
+    assert math.copysign(1.0, unit_phasors(np.array([-0.0]))[0].imag) == 1.0
+
+
+def test_unit_phasors_keeps_shape():
+    theta = np.random.default_rng(112).uniform(0.0, 2 * math.pi, (3, 5))
+    assert same_bytes(unit_phasors(theta), np.exp(1j * theta))
+    assert same_bytes(unit_phasors(theta.T), np.exp(1j * theta.T))
+    assert unit_phasors(np.float64(0.5)).shape == ()
+    assert complex(unit_phasors(0.5)) == complex(np.exp(0.5j))
 
 
 # ---------------------------------------------------------------- dft2/idft2

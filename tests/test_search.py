@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import holosearch
 from holosearch import search
-from holosearch.field import dft2
+from holosearch.field import dft2, idft2
 from holosearch.metrics import mse
 from holosearch.rng import STREAM_ACCEPTANCE, STREAM_PHASE, STREAM_SELECTION, substream
 from holosearch.search import (
@@ -34,7 +34,8 @@ from holosearch.search import (
     sps_order,
 )
 from holosearch.slm import ModulationScheme, change_map, is_allowed, quantise
-from holosearch.targets import TargetImage, normalize_energy, synthetic_mandrill
+from holosearch.targets import TargetImage, normalize_energy, synthetic_bars, synthetic_mandrill
+from test_field import same_bytes
 
 BINARY_PHASE = ModulationScheme("phase", 2)
 
@@ -277,6 +278,19 @@ def test_back_project_deterministic_per_seed():
     assert np.array_equal(a, b)
     c = back_project(t, substream(6, STREAM_PHASE))
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("target", [
+    normalize_energy(synthetic_mandrill(64)),
+    normalize_energy(synthetic_bars(64)),  # mostly zero: signed zeros
+    TargetImage(np.zeros((8, 12))),
+], ids=["mandrill", "bars", "zero"])
+def test_back_project_equals_complex_exp_formula(target):
+    # Byte pin per numpy build against the formula back_project had before
+    # it took its phasors from cos/sin.
+    phases = substream(7, STREAM_PHASE).uniform(0.0, 2.0 * np.pi, size=target.shape)
+    want = idft2(target.mag * np.exp(1j * phases))
+    assert same_bytes(back_project(target, substream(7, STREAM_PHASE)), want)
 
 
 def idft2_matrix(spec):

@@ -26,6 +26,7 @@ from holosearch.slm import (
     propose_value,
     quantise,
 )
+from test_field import same_bytes
 
 BINARY_PHASE = ModulationScheme("phase", 2)
 QUAD_PHASE = ModulationScheme("phase", 4)
@@ -249,6 +250,19 @@ def test_quantise_continuous_phase_zero_pixel():
     assert np.array_equal(quantise(zeros, BINARY_PHASE), np.ones(4, dtype=np.complex128))
 
 
+def test_quantise_continuous_phase_equals_complex_exp_formula():
+    # Byte pin per numpy build against the formula quantise had before it
+    # took its phasors from cos/sin; signed zeros in either part included.
+    rng = np.random.default_rng(206)
+    vals = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    vals.real[0] = -0.0
+    vals.imag[1] = -0.0
+    vals.imag[2] = 0.0
+    vals[3, :4] = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    want = np.exp(1j * np.arctan2(vals.imag, vals.real + 0.0))
+    assert same_bytes(quantise(vals, CONT_PHASE), want)
+
+
 def test_quantise_continuous_amplitude():
     vals = np.array([[1.7 + 0.3j, -0.4 + 0.0j, 0.6 - 2.0j]])
     out = quantise(vals, CONT_AMP)
@@ -357,6 +371,17 @@ def test_propose_continuous():
         assert v.imag == 0.0
         assert 0.0 <= v.real <= 1.0
         assert v != 0.5 + 0.0j
+
+
+def test_propose_continuous_phase_equals_complex_exp_formula():
+    # Byte pin per numpy build: the scalar cos/sin proposal is the value the
+    # complex exp of the same draw gave, and draws the same numbers.
+    rng, oracle_rng = substream(12, STREAM_PROPOSAL), substream(12, STREAM_PROPOSAL)
+    for _ in range(2000):
+        v = propose_value(1.0 + 0.0j, CONT_PHASE, rng)
+        want = complex(np.exp(1j * oracle_rng.uniform(0.0, 2.0 * np.pi)))
+        assert same_bytes(np.complex128(v), np.complex128(want))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------- is_allowed

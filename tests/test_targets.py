@@ -14,6 +14,7 @@ from holosearch.targets import (
     synthetic_mandrill,
     synthetic_target,
 )
+from test_field import same_bytes
 
 
 # --------------------------------------------------------------- TargetImage
@@ -180,6 +181,27 @@ def test_synthetic_mandrill_deterministic():
     a = synthetic_mandrill(64)
     b = synthetic_mandrill(64)
     assert np.array_equal(a.mag, b.mag)
+
+
+def full_grid_mandrill(size):
+    """The texture routine as it was before it computed the spectrum on one
+    quadrant and took its phasors from cos/sin: 1/f amplitude over the whole
+    grid, times numpy's complex exp."""
+    rng = np.random.default_rng(np.random.SeedSequence(8062436))
+    f = np.hypot(np.fft.fftfreq(size)[:, None], np.fft.fftfreq(size)[None, :])
+    amp = (f + 1.0 / size) ** -1.2
+    amp[0, 0] = 0.0
+    tex = np.fft.ifft2(amp * np.exp(2j * np.pi * rng.random((size, size)))).real
+    lo, hi = tex.min(), tex.max()
+    tex = (tex - lo) / (hi - lo)
+    return np.clip(1.3 * (tex - 0.5) + 0.5, 0.0, 1.0) ** 2.2
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 8, 17, 64, 127, 128, 255, 256, 511, 512, 1024])
+def test_synthetic_mandrill_equals_full_grid_routine(size):
+    # Byte pin per numpy build: the mirrored quadrant holds the same |fftfreq|
+    # operands, and unit_phasors equals complex exp there.
+    assert same_bytes(synthetic_mandrill(size).mag, full_grid_mandrill(size))
 
 
 def test_synthetic_mandrill_range_and_shape():

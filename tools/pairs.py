@@ -14,8 +14,12 @@ For every end-to-end metric that BENCHMARK.json names, it prints each side's
 median and quartiles, and in how many pairs the working tree was better
 (ties count for neither side). ``gain`` reads yes when the working tree won at
 least nine tenths of the pairs and the medians differ by more than the
-distance between the commit's quartiles. A run that ``bench.failed`` counts
-as failed is listed and left out of its pair.
+distance between the commit's quartiles. ``worse`` reads yes when the working
+tree's median is worse than the commit's by more than the metric's relative
+``bound`` in BENCHMARK.json: a median ratio below ``1 - bound`` for a metric
+where higher is better, above ``1 + bound`` where lower is. A run that
+``bench.failed`` counts as failed is listed and left out of its pair. The exit
+status is 1 if a run failed, no pair succeeded or a metric reads ``worse``.
 """
 
 from __future__ import annotations
@@ -69,13 +73,16 @@ def summary(metric: dict, pairs: list[tuple[dict, dict]]) -> dict:
     wins = sum((c > p) if higher else (c < p) for p, c in zip(base, change))
     q1, q3 = quartiles(base)
     med_base, med_change = statistics.median(base), statistics.median(change)
+    ratio = med_change / med_base if med_base else None
+    bound = metric["bound"]
     return {
         "metric": name, "unit": metric["unit"], "better": metric["better"],
         "base_median": med_base, "base_quartiles": [q1, q3],
         "change_median": med_change, "change_quartiles": list(quartiles(change)),
-        "ratio": med_change / med_base if med_base else None,
-        "wins": wins, "pairs": len(pairs),
+        "ratio": ratio, "wins": wins, "pairs": len(pairs),
         "gain": 10 * wins >= 9 * len(pairs) and abs(med_change - med_base) > q3 - q1,
+        "bound": bound,
+        "worse": ratio is not None and (ratio < 1 - bound if higher else ratio > 1 + bound),
     }
 
 
@@ -113,16 +120,17 @@ def main(argv=None) -> int:
           f"{len(pairs)} of {args.pairs} pairs, {SECONDS:g} s runs, "
           f"seeds {args.first_seed}..{args.first_seed + args.pairs - 1}")
     print(f"{'metric':14s} {'base median [quartiles]':>34s} {'change median [quartiles]':>34s} "
-          f"{'ratio':>7s} {'wins':>6s}  gain")
+          f"{'ratio':>7s} {'wins':>6s}  gain  worse (bound)")
     for r in rows:
         base = f"{r['base_median']:.4g} [{r['base_quartiles'][0]:.4g}, {r['base_quartiles'][1]:.4g}]"
         change = f"{r['change_median']:.4g} [{r['change_quartiles'][0]:.4g}, {r['change_quartiles'][1]:.4g}]"
         ratio = f"{r['ratio']:.3f}" if r["ratio"] is not None else "-"
         print(f"{r['metric']:14s} {base:>34s} {change:>34s} {ratio:>7s} "
-              f"{r['wins']:>3d}/{r['pairs']:<2d}  {'yes' if r['gain'] else 'no'}")
+              f"{r['wins']:>3d}/{r['pairs']:<2d}  {'yes' if r['gain'] else 'no':4s}  "
+              f"{'yes' if r['worse'] else 'no':5s} ({r['bound']:g})")
     for run in lost:
         print(f"failed: {run}")
-    return 1 if lost or not pairs else 0
+    return 1 if lost or not pairs or any(r["worse"] for r in rows) else 0
 
 
 if __name__ == "__main__":
