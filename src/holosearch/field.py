@@ -69,13 +69,14 @@ def unit_phasors(theta) -> np.ndarray:
     1M angles). A -0.0 angle gives +0.0 imaginary part, as ``1j*theta`` folds
     it. With numpy's complex ``exp`` built on the same ``cos`` and ``sin``,
     the result equals ``np.exp(1j*theta)`` bit for bit for every finite
-    angle; that holds per numpy build and is pinned by a test there.
+    angle; that holds per numpy build and is pinned by a test there. As from
+    ``np.exp``, a scalar angle gives a numpy scalar.
     """
     z = np.empty(np.shape(theta), dtype=np.complex128)
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     z.imag += 0.0
-    return z
+    return z if z.ndim else z[()]
 
 
 def dft2(f) -> np.ndarray:

@@ -175,7 +175,7 @@ def quantise(f, scheme: ModulationScheme) -> np.ndarray:
     segment). The zero pixel has no defined phase and maps to level 0 (+1).
 
     Returns a new complex128 array of the input's shape; accepts any
-    array_like, scalars included (returned as 0-d arrays).
+    array_like, scalars included (returned as numpy complex128 scalars).
     """
     arr = np.asarray(f, dtype=np.complex128)
     if scheme.kind == PHASE:

@@ -82,8 +82,8 @@ def test_unit_phasors_keeps_shape():
     theta = np.random.default_rng(112).uniform(0.0, 2 * math.pi, (3, 5))
     assert same_bytes(unit_phasors(theta), np.exp(1j * theta))
     assert same_bytes(unit_phasors(theta.T), np.exp(1j * theta.T))
-    assert unit_phasors(np.float64(0.5)).shape == ()
-    assert complex(unit_phasors(0.5)) == complex(np.exp(0.5j))
+    assert same_bytes(unit_phasors(np.float64(0.5)), np.exp(1j * np.float64(0.5)))
+    assert isinstance(unit_phasors(0.5), np.complex128)
 
 
 # ---------------------------------------------------------------- dft2/idft2

@@ -263,6 +263,14 @@ def test_quantise_continuous_phase_equals_complex_exp_formula():
     assert same_bytes(quantise(vals, CONT_PHASE), want)
 
 
+@pytest.mark.parametrize("scheme", DISCRETE_SCHEMES + [CONT_PHASE, CONT_AMP],
+                         ids=lambda s: s.name)
+def test_quantise_scalar_gives_numpy_scalar(scheme):
+    out = quantise(0.3 + 0.4j, scheme)
+    assert isinstance(out, np.complex128)
+    assert same_bytes(out, quantise(np.array([0.3 + 0.4j]), scheme)[0])
+
+
 def test_quantise_continuous_amplitude():
     vals = np.array([[1.7 + 0.3j, -0.4 + 0.0j, 0.6 - 2.0j]])
     out = quantise(vals, CONT_AMP)
