@@ -28,7 +28,6 @@ from .rng import STREAM_PHASE, STREAM_SELECTION, substream
 from .search import (
     SELECT_RANDOM,
     SELECT_SPS,
-    AnnealingSchedule,
     SearchConfig,
     back_project,
     run_search,
@@ -63,8 +62,8 @@ class ExperimentConfig:
     iterations: int = 20_000
     seed: int = 0
     symmetry: bool = False
-    t_coeff: float | None = None
-    t0: float | None = None
+    t_coeff: float | None = SearchConfig.t_coeff
+    t0: float | None = SearchConfig.t0
     out_dir: str = "out"
     trace_stride: int = SearchConfig.trace_stride
     recompute_interval: int = SearchConfig.recompute_interval
@@ -77,27 +76,16 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.scatter_samples < 1:
             raise ValueError(f"scatter-samples must be >= 1, got {self.scatter_samples}")
-        # SearchConfig and AnnealingSchedule validate every other field.
+        # SearchConfig validates every other field.
         self.search_config()
 
     def search_config(self, selection: str | None = None) -> SearchConfig:
-        """The search these knobs describe, with ``selection`` in place of
-        config.selection when given. --t-coeff and --t0 build a custom
-        annealing schedule together; SearchConfig rejects one outside sa."""
-        schedule = None
-        if self.t_coeff is not None or self.t0 is not None:
-            if self.t_coeff is None or self.t0 is None:
-                raise ValueError("a custom sa schedule needs both --t-coeff and --t0")
-            schedule = AnnealingSchedule(self.t_coeff, self.t0)
-        return SearchConfig(
-            iterations=self.iterations,
-            scheme=self.scheme,
-            algorithm=self.algorithm,
-            selection=self.selection if selection is None else selection,
-            schedule=schedule,
-            recompute_interval=self.recompute_interval,
-            trace_stride=self.trace_stride,
-        )
+        """The search these knobs describe: every SearchConfig field copied
+        by name, with ``selection`` in place of config.selection when given."""
+        knobs = {f.name: getattr(self, f.name) for f in fields(SearchConfig)}
+        if selection is not None:
+            knobs["selection"] = selection
+        return SearchConfig(**knobs)
 
 
 def prepare_target(config: ExperimentConfig) -> TargetImage:

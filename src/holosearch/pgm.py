@@ -113,9 +113,9 @@ def save_pgm(image, path, normalization: str = LINEAR_MAX) -> None:
     ``image`` may be a TargetImage, a real array, or a complex field (its
     magnitudes are taken). Normalization maps values onto [0, 1] first:
     ``linear-max`` divides by the grid maximum (an all-zero grid stays all
-    zero), ``clamp-unit`` clips to [0, 1]. Values then quantize to 0..255 by
-    round-half-to-even. Output is deterministic: header ``P5\\n{w} {h}\\n255\\n``
-    then raw rows.
+    zero) and rejects negative values, ``clamp-unit`` clips to [0, 1].
+    Values then quantize to 0..255 by round-half-to-even. Output is
+    deterministic: header ``P5\\n{w} {h}\\n255\\n`` then raw rows.
     """
     if isinstance(image, TargetImage):
         arr = image.mag
@@ -129,6 +129,8 @@ def save_pgm(image, path, normalization: str = LINEAR_MAX) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError("image contains non-finite values")
     if normalization == LINEAR_MAX:
+        if arr.size and arr.min() < 0:
+            raise ValueError(f"{LINEAR_MAX} needs non-negative values, got minimum {arr.min()}")
         peak = arr.max() if arr.size else 0.0
         unit = arr / peak if peak > 0 else np.zeros_like(arr)
     elif normalization == CLAMP_UNIT:

@@ -56,30 +56,6 @@ SELECT_SPS = "sps"
 SELECTIONS = (SELECT_RANDOM, SELECT_SPS)
 
 
-@dataclass(frozen=True)
-class AnnealingSchedule:
-    """Exponentially decaying temperature ``T(n) = t_coeff * exp(-t0 * n / total_n)``.
-
-    n is the zero-based iteration index and total_n the run's length, which
-    the search supplies. t_coeff sets the starting temperature and t0 how
-    many e-foldings the run covers. Useful temperatures live on the scale of
-    a single accepted change's error delta (roughly initial_error /
-    pixel_count), not of the total error; see the engine's default.
-    """
-
-    t_coeff: float
-    t0: float
-
-    def __post_init__(self):
-        if not (self.t_coeff > 0 and math.isfinite(self.t_coeff)):
-            raise ValueError(f"t_coeff must be positive and finite, got {self.t_coeff}")
-        if not (self.t0 > 0 and math.isfinite(self.t0)):
-            raise ValueError(f"t0 must be positive and finite, got {self.t0}")
-
-    def temperature(self, n: int, total_n: int) -> float:
-        return self.t_coeff * math.exp(-self.t0 * n / total_n)
-
-
 def boltzmann_accept(delta_e: float, temperature: float, rng: np.random.Generator) -> bool:
     """One annealing acceptance decision.
 
@@ -194,6 +170,10 @@ def back_project(target: TargetImage, rng: np.random.Generator) -> np.ndarray:
 class SearchConfig:
     """Everything a search run needs besides the target and the seed.
 
+    ``sa`` cools as ``T(n) = t_coeff * exp(-t0 * n / iterations)`` at
+    zero-based iteration n. Give both t_coeff and t0, or neither for
+    :func:`_default_schedule`, which explains the useful scale of t_coeff.
+
     recompute_interval bounds floating-point drift in the incrementally
     updated replay: after that many accepted updates the replay and error are
     refreshed from a full transform. trace_stride controls how often the
@@ -205,7 +185,8 @@ class SearchConfig:
     scheme: ModulationScheme
     algorithm: str = ALGO_DS_FAST
     selection: str = SELECT_RANDOM
-    schedule: AnnealingSchedule | None = None
+    t_coeff: float | None = None
+    t0: float | None = None
     recompute_interval: int = 50_000
     trace_stride: int = 100
 
@@ -218,8 +199,15 @@ class SearchConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.selection not in SELECTIONS:
             raise ValueError(f"selection must be one of {SELECTIONS}, got {self.selection!r}")
-        if self.schedule is not None and self.algorithm != ALGO_SA:
-            raise ValueError(f"schedule is only meaningful for algorithm {ALGO_SA!r}")
+        if (self.t_coeff is None) != (self.t0 is None):
+            raise ValueError(f"a custom {ALGO_SA} schedule needs both t_coeff and t0")
+        if self.t_coeff is not None:
+            for name in ("t_coeff", "t0"):
+                value = getattr(self, name)
+                if not (value > 0 and math.isfinite(value)):
+                    raise ValueError(f"{name} must be positive and finite, got {value}")
+            if self.algorithm != ALGO_SA:
+                raise ValueError(f"schedule is only meaningful for algorithm {ALGO_SA!r}")
         if self.recompute_interval < 1:
             raise ValueError(f"recompute_interval must be >= 1, got {self.recompute_interval}")
         if self.trace_stride < 1:
@@ -247,9 +235,9 @@ class SearchResult:
     initial_mse: float
 
 
-def _default_schedule(initial_mse: float, n_pixels: int) -> AnnealingSchedule:
-    """Schedule for ``sa`` when config.schedule is None: t0 = 6 over the run
-    and t_coeff = 8 * initial_error / pixel_count.
+def _default_schedule(initial_mse: float, n_pixels: int) -> tuple[float, float]:
+    """The ``(t_coeff, t0)`` of ``sa`` when the config gives neither: t0 = 6
+    over the run and t_coeff = 8 * initial_error / pixel_count.
 
     One pixel change moves the error by about 4/pixel_count energy units, so that
     starting temperature admits a modest share of worsening moves early while
@@ -262,7 +250,7 @@ def _default_schedule(initial_mse: float, n_pixels: int) -> AnnealingSchedule:
     t_coeff = 8.0 * initial_mse / n_pixels
     if t_coeff <= 0:
         t_coeff = float(np.finfo(np.float64).tiny)
-    return AnnealingSchedule(t_coeff=t_coeff, t0=6.0)
+    return t_coeff, 6.0
 
 
 def _energy(hologram: np.ndarray) -> float:
@@ -288,11 +276,12 @@ def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.nda
 def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchResult:
     """Run the search config.algorithm names.
 
-    ``sa`` anneals under config.schedule, or :func:`_default_schedule` when
-    that is None, cooling over config.iterations. ``ds-naive`` makes the same
-    decisions as ``ds-fast`` for the same seed. The all-zero (degenerate)
-    target is valid and accepts nothing under direct search, since no
-    single-pixel change can lower its error.
+    ``sa`` anneals under config.t_coeff and config.t0, or
+    :func:`_default_schedule` when they are None, cooling over
+    config.iterations. ``ds-naive`` makes the same decisions as ``ds-fast``
+    for the same seed. The all-zero (degenerate) target is valid and accepts
+    nothing under direct search, since no single-pixel change can lower its
+    error.
     """
     if config.algorithm == ALGO_DS_NAIVE:
         return _naive_search(target, config, seed)
@@ -306,9 +295,9 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     current_mse = initial_mse = mse(target_mag, replay)
 
     annealing = config.algorithm == ALGO_SA
-    schedule = None
-    if annealing:
-        schedule = config.schedule or _default_schedule(initial_mse, width * height)
+    t_coeff, t0 = config.t_coeff, config.t0
+    if annealing and t_coeff is None:
+        t_coeff, t0 = _default_schedule(initial_mse, width * height)
 
     # Candidates are scored from the aperture energy and the replay's leading
     # rows: all of them for a complex aperture, the Hermitian half for a real
@@ -335,7 +324,7 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
         candidate_mse = mse(scored, leading, energy=candidate_energy)
 
         if annealing:
-            temperature = schedule.temperature(it - 1, config.iterations)
+            temperature = t_coeff * math.exp(-t0 * (it - 1) / config.iterations)
             keep = boltzmann_accept(candidate_mse - current_mse, temperature, accept_rng)
         else:
             keep = candidate_mse < current_mse

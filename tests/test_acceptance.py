@@ -279,7 +279,7 @@ def test_criterion_8_accepted_count_parity(ds_cells):
 @pytest.mark.slow
 def test_full_scale_reproduction():
     """512x512, 200k iterations: the published operating point, widened by
-    5 percentage points for the synthetic stand-in image. Tens of minutes."""
+    5 percentage points for the synthetic stand-in image. About 15 minutes on a 2-vCPU host."""
     target = normalize_energy(induce_symmetry(synthetic_mandrill(512)))
     improvements = []
     for seed in range(3):

@@ -233,6 +233,14 @@ def test_parse_config_file_bad_value(tmp_path):
     assert "iterations" in str(ei.value)
 
 
+def test_parse_config_file_bad_boolean_names_its_line(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text("# a comment\niterations = 10\nsymmetry = maybe\n")
+    with pytest.raises(ValueError) as ei:
+        parse_config_file(p)
+    assert str(ei.value) == f"{p}:3: expected a boolean word, got 'maybe'"
+
+
 def test_parse_config_file_bad_syntax(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("just some words\n")

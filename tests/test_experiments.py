@@ -71,8 +71,19 @@ def test_config_custom_schedule_needs_both_knobs():
         ExperimentConfig(algorithm="sa", t0=3.0)
     full = ExperimentConfig(algorithm="sa", t_coeff=0.5, t0=3.0, iterations=10)
     sc = full.search_config()
-    assert sc.schedule.t_coeff == 0.5
-    assert sc.schedule.t0 == 3.0
+    assert sc.t_coeff == 0.5
+    assert sc.t0 == 3.0
+
+
+def test_search_config_fields_are_experiment_config_fields():
+    """search_config copies every SearchConfig field by name, so each is an
+    ExperimentConfig field; all but the two without a SearchConfig default
+    take that default."""
+    experiment = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    for field in dataclasses.fields(SearchConfig):
+        assert field.name in experiment, field.name
+        if field.name not in ("iterations", "scheme"):
+            assert experiment[field.name].default == field.default, field.name
 
 
 @pytest.mark.parametrize("iterations", [0, 7, 20_000])

@@ -88,6 +88,23 @@ def test_load_empty_file(tmp_path):
     assert ei.value.offset == 0
 
 
+@pytest.mark.parametrize("data, offset, message", [
+    (b"P5x2 2\n255\n" + bytes(4), 2, "magic P5 not followed by whitespace"),
+    (b"P5\n0 2\n255\n", 2, "image dimensions must be positive, got 0x2"),
+    (b"P5 2", 4, "unexpected end of header while reading height"),
+    (b"P5 # no newline", 15, "unexpected end of header while reading width"),
+    (b"P5 2 2 255", 10, "unexpected end of file after maxval"),
+    # with the '#' taken as the separator the payload would be exactly 4 bytes
+    (b"P5 2 2 255#c" + bytes(3), 10, "maxval must be followed by a single whitespace byte"),
+], ids=["magic-then-x", "zero-width", "ends-in-header", "comment-to-eof",
+        "ends-after-maxval", "comment-after-maxval"])
+def test_load_header_faults_name_their_byte(tmp_path, data, offset, message):
+    with pytest.raises(PgmError) as ei:
+        load_pgm(write_bytes(tmp_path, data))
+    assert ei.value.offset == offset
+    assert str(ei.value) == f"byte {offset}: {message}"
+
+
 def test_pgm_error_is_value_error():
     assert issubclass(PgmError, ValueError)
 
@@ -124,6 +141,28 @@ def test_save_clamp_unit_clamps(tmp_path):
     save_pgm(np.array([[-0.5, 2.0], [0.0, 1.0]]), p, CLAMP_UNIT)
     back = load_pgm(p)
     assert np.array_equal(back.mag, np.array([[0.0, 1.0], [0.0, 1.0]]))
+
+
+def test_save_linear_max_rejects_negative_values(tmp_path):
+    """A negative value has no linear-max grey: it used to wrap round to a
+    bright byte (-0.25 wrote 0xc0, brighter than 0.5)."""
+    p = tmp_path / "neg.pgm"
+    with pytest.raises(ValueError, match="linear-max needs non-negative values, got minimum -1.0"):
+        save_pgm(np.array([[-1.0, 1.0], [0.5, -0.25]]), p, LINEAR_MAX)
+    assert not p.exists()
+    save_pgm(np.array([[-0.0, 1.0]]), p, LINEAR_MAX)  # a signed zero is not negative
+    assert p.read_bytes().endswith(bytes([0, 255]))
+
+
+@pytest.mark.parametrize("image, message", [
+    (np.zeros((2, 2, 2)), "image must be 2D, got 3D"),
+    (np.array([[0.5, np.nan]]), "image contains non-finite values"),
+], ids=["3d", "nan"])
+def test_save_rejects_unwritable_input(tmp_path, image, message):
+    p = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        save_pgm(image, p)
+    assert not p.exists()
 
 
 def test_save_linear_max_scales_peak_to_full(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the search engine: schedules, acceptance, pixel selection,
+"""Tests for the search engine: acceptance, pixel selection,
 back-projection and the optimisation loops (naive vs fast)."""
 
 import cmath
@@ -25,7 +25,6 @@ from holosearch.search import (
     SELECT_RANDOM,
     SELECT_SPS,
     SELECTIONS,
-    AnnealingSchedule,
     SearchConfig,
     back_project,
     boltzmann_accept,
@@ -43,28 +42,6 @@ BINARY_PHASE = ModulationScheme("phase", 2)
 def small_target(size=16, seed=500):
     rng = np.random.default_rng(seed)
     return normalize_energy(TargetImage(rng.random((size, size)) + 0.05))
-
-
-# ------------------------------------------------------------------ schedule
-
-
-def test_schedule_formula():
-    s = AnnealingSchedule(t_coeff=2.0, t0=6.0)
-    assert s.temperature(0, 100) == 2.0
-    want = 2.0 * math.exp(-6.0 * 50 / 100)
-    assert abs(s.temperature(50, 100) - want) < 1e-15
-    # strictly decreasing
-    temps = [s.temperature(n, 100) for n in range(0, 100, 10)]
-    assert all(a > b for a, b in zip(temps, temps[1:]))
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        AnnealingSchedule(t_coeff=0.0, t0=6.0)
-    with pytest.raises(ValueError):
-        AnnealingSchedule(t_coeff=1.0, t0=0.0)
-    with pytest.raises(ValueError):
-        AnnealingSchedule(t_coeff=math.inf, t0=6.0)
 
 
 # ---------------------------------------------------------- boltzmann_accept
@@ -399,11 +376,17 @@ def test_search_config_validation():
         SearchConfig(iterations=10, scheme=BINARY_PHASE, algorithm="dbs")
     with pytest.raises(ValueError):
         SearchConfig(iterations=10, scheme=BINARY_PHASE, selection="greedy")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="only meaningful for algorithm 'sa'"):
         # a schedule makes no sense outside simulated annealing
         SearchConfig(iterations=10, scheme=BINARY_PHASE,
-                     algorithm=ALGO_DS_FAST,
-                     schedule=AnnealingSchedule(1.0, 6.0))
+                     algorithm=ALGO_DS_FAST, t_coeff=1.0, t0=6.0)
+    for half in ({"t_coeff": 1.0}, {"t0": 6.0}):
+        with pytest.raises(ValueError, match="needs both t_coeff and t0"):
+            SearchConfig(iterations=10, scheme=BINARY_PHASE, algorithm=ALGO_SA, **half)
+    for t_coeff, t0, bad in ((0.0, 6.0, "t_coeff"), (1.0, 0.0, "t0"), (math.inf, 6.0, "t_coeff"),
+                             (-1.0, 6.0, "t_coeff"), (1.0, math.nan, "t0")):
+        with pytest.raises(ValueError, match=f"^{bad} must be positive and finite"):
+            SearchConfig(iterations=10, scheme=BINARY_PHASE, algorithm=ALGO_SA, t_coeff=t_coeff, t0=t0)
     with pytest.raises(ValueError):
         SearchConfig(iterations=10, scheme=BINARY_PHASE, trace_stride=0)
     with pytest.raises(ValueError):
@@ -547,10 +530,9 @@ def test_sps_first_pass_covers_sorted_moves(monkeypatch):
 def test_sa_cold_schedule_equals_direct_search():
     # with an effectively zero temperature SA degenerates to strict descent
     t = small_target()
-    sched = AnnealingSchedule(t_coeff=1e-300, t0=6.0)
     sa = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA,
-        schedule=sched, trace_stride=1), seed=7)
+        t_coeff=1e-300, t0=6.0, trace_stride=1), seed=7)
     ds = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, trace_stride=1), seed=7)
     assert np.array_equal(sa.hologram, ds.hologram)
@@ -563,20 +545,18 @@ def test_sa_default_schedule_matches_explicit():
     implicit = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA), seed=8)
     e0 = implicit.initial_mse
-    sched = AnnealingSchedule(t_coeff=8.0 * e0 / 256, t0=6.0)
     explicit = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA,
-        schedule=sched), seed=8)
+        t_coeff=8.0 * e0 / 256, t0=6.0), seed=8)
     assert np.array_equal(implicit.hologram, explicit.hologram)
     assert implicit.accepted == explicit.accepted
 
 
 def test_sa_hot_schedule_accepts_worsening_moves():
     t = small_target()
-    hot = AnnealingSchedule(t_coeff=10.0, t0=1e-9)
     sa = run_search(t, SearchConfig(
         iterations=400, scheme=BINARY_PHASE, algorithm=ALGO_SA,
-        schedule=hot, trace_stride=1), seed=9)
+        t_coeff=10.0, t0=1e-9, trace_stride=1), seed=9)
     ds = run_search(t, SearchConfig(
         iterations=400, scheme=BINARY_PHASE, trace_stride=1), seed=9)
     # near-infinite temperature accepts almost everything
@@ -608,11 +588,34 @@ def test_sa_cools_over_the_run_length(monkeypatch):
     n, t_coeff, t0 = 37, 0.25, 3.0
     run_search(small_target(), SearchConfig(
         iterations=n, scheme=BINARY_PHASE, algorithm=ALGO_SA,
-        schedule=AnnealingSchedule(t_coeff, t0)), seed=14)
+        t_coeff=t_coeff, t0=t0), seed=14)
     assert len(temps) == n
     assert temps[0] == t_coeff
     assert temps[-1] == t_coeff * math.exp(-t0 * (n - 1) / n)
     assert all(a > b for a, b in zip(temps, temps[1:]))
+
+
+def test_sa_default_schedule_at_zero_error_stays_greedy(monkeypatch):
+    """A 16x16 DC spike back-projects to a constant aperture, which binary
+    phase quantises to a constant sign whose replay is the spike itself:
+    the initial error is exactly 0. The default t_coeff would then be 0, so
+    the schedule falls back to the smallest normal float, and no change of
+    a zero-error state is kept."""
+    temps = []
+    inner = search.boltzmann_accept
+
+    def recording(delta_e, temperature, rng):
+        temps.append(temperature)
+        return inner(delta_e, temperature, rng)
+
+    monkeypatch.setattr(search, "boltzmann_accept", recording)
+    mag = np.zeros((16, 16))
+    mag[0, 0] = 16.0
+    res = run_search(TargetImage(mag), SearchConfig(
+        iterations=200, scheme=BINARY_PHASE, algorithm=ALGO_SA), seed=0)
+    assert res.initial_mse == 0.0
+    assert res.accepted == 0
+    assert temps[0] == np.finfo(np.float64).tiny
 
 
 # --------------------------------------------------------- replay refresh, drift

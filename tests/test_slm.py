@@ -82,6 +82,11 @@ def test_scheme_validation():
         ModulationScheme("phase", 1)
     with pytest.raises(ValueError):
         ModulationScheme("frequency", 4)
+    for levels in (True, 2.5):
+        with pytest.raises(ValueError, match=f"^levels must be an integer or None, got {levels}$"):
+            ModulationScheme("phase", levels)
+    with pytest.raises(ValueError, match="^phase:cont has no finite level table$"):
+        ModulationScheme("phase", None).allowed_values()
 
 
 # -------------------------------------------------------------- level tables

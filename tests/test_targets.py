@@ -231,6 +231,21 @@ def test_synthetic_bars_binary_and_deterministic():
     assert np.array_equal(t.mag, synthetic_bars(64).mag)
 
 
+@pytest.mark.parametrize("size, lit", [(2, 1), (3, 1), (4, 2), (5, 2)])
+def test_synthetic_bars_too_small_for_the_chart_get_the_fallback_block(size, lit):
+    """Grids below 6 cannot hold the finest group; they get a top-left block
+    of size//2 rows by max(size//4, 1) columns."""
+    mag = synthetic_bars(size).mag
+    assert mag.sum() == lit
+    assert mag[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("make", [synthetic_bars, synthetic_mandrill])
+def test_synthetic_targets_need_two_pixels(make):
+    with pytest.raises(ValueError, match="^size must be >= 2, got 1$"):
+        make(1)
+
+
 def test_synthetic_dispatch():
     a = synthetic_target("synthetic-mandrill", 32)
     assert np.array_equal(a.mag, synthetic_mandrill(32).mag)

@@ -5,17 +5,22 @@
 Run from anywhere; the checkout is the parent of this file's directory. The
 sitting runs, one after another and each in its own process:
 
-* every holobench workload once untraced (``--trace 0``) and once traced
-  (``--trace 1``), at seed 0 for SECONDS each, keeping the result line that
-  ``holobench/run.py`` prints last, its problems and its absent hooks;
+* every holobench workload once untraced (``--trace 0``) at seed 0, and
+  traced (``--trace 1``) once at each seed of TRACED_SEEDS, for SECONDS
+  each, keeping every run's result line (the last line that
+  ``holobench/run.py`` prints), its problems and its absent hooks;
 * the tier-1 test suite, timed;
 * one ``holo run-ab --resolution 128 --iterations 20000``, timed, with no
   BLAS thread variable in its environment, so it runs with ``holo``'s own
   default (one thread); the record keeps the key ``run_ab_128_uncapped``.
 
-The file also names the git HEAD the sitting measured and whether the tree
-had uncommitted changes. Compare two files only when they come from the same
-sitting on the same machine: the host's speed drifts between sittings.
+One traced run is a single sample of a host that drifts, too few to
+resolve a set-up change; so ``traced_medians`` holds, per workload, the
+median of each per-layer metric that BENCHMARK.json names over that
+workload's traced runs that did not fail. The file also names the git HEAD
+the sitting measured and whether the tree had uncommitted changes. Compare
+two files only when they come from the same sitting on the same machine:
+the host's speed drifts between sittings.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import datetime
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -32,6 +38,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS = 12
 SEED = 0
+TRACED_SEEDS = (0, 1, 2)
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 RUN_AB = ["-m", "holosearch.cli", "run-ab", "--resolution", "128", "--iterations", "20000", "--out-dir", "ab"]
 BLAS_CAPS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -41,9 +48,9 @@ def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def workloads() -> list[str]:
+def benchmark() -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return [w["name"] for w in json.load(fh)["workloads"]]
+        return json.load(fh)
 
 
 def holobench(workload: str, trace: int, tree: str = ROOT, seed: int = SEED) -> tuple[dict, dict]:
@@ -72,6 +79,18 @@ def failed(row: dict) -> bool:
     return "result" not in row or bool(row["problems"]) or not row["result"]["correct"]
 
 
+def traced_medians(rows: list[dict], names: list[str]) -> dict[str, float]:
+    """The median of each named metric over the runs in ``rows`` that did not
+    fail; a name that no such run reports is left out."""
+    kept = [row["result"]["metrics"] for row in rows if not failed(row)]
+    medians = {}
+    for name in names:
+        values = [m[name]["value"] for m in kept if name in m]
+        if values:
+            medians[name] = statistics.median(values)
+    return medians
+
+
 def timed(args: list[str], env: dict, cwd: str = ROOT) -> dict:
     """Wall time of ``python3 <args>`` run in ``cwd``, with its last stdout line."""
     t0 = time.perf_counter()
@@ -95,9 +114,13 @@ def main(argv=None) -> int:
         "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "started": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
     }
-    runs = [holobench(w, trace) for w in workloads() for trace in (0, 1)]
-    record["environment"] = next((e for _, e in runs if e), {})
-    record["holobench"] = [row for row, _ in runs]
+    spec = benchmark()
+    per_layer = [m["name"] for m in spec["per_layer"]]
+    runs = {w: [holobench(w, 0)] + [holobench(w, 1, seed=seed) for seed in TRACED_SEEDS]
+            for w in (w["name"] for w in spec["workloads"])}
+    record["environment"] = next((e for rs in runs.values() for _, e in rs if e), {})
+    record["holobench"] = [row for rs in runs.values() for row, _ in rs]
+    record["traced_medians"] = {w: traced_medians([row for row, _ in rs[1:]], per_layer) for w, rs in runs.items()}
     record["tier1"] = timed(TIER1, env)
     with tempfile.TemporaryDirectory() as tmp:
         record["run_ab_128_uncapped"] = timed(RUN_AB, uncapped, cwd=tmp)

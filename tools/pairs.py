@@ -25,20 +25,13 @@ status is 1 if a run failed, no pair succeeded or a metric reads ``worse``.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 
-from bench import ROOT, SECONDS, failed, holobench
-
-
-def end_to_end() -> list[dict]:
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return json.load(fh)["end_to_end"]
+from bench import ROOT, SECONDS, benchmark, failed, holobench
 
 
 def export(rev: str, dest: str) -> str:
@@ -115,7 +108,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    rows = [summary(m, pairs) for m in end_to_end()] if pairs else []
+    rows = [summary(m, pairs) for m in benchmark()["end_to_end"]] if pairs else []
     print(f"{args.workload}: {commit[:12]} (base) against the working tree (change), "
           f"{len(pairs)} of {args.pairs} pairs, {SECONDS:g} s runs, "
           f"seeds {args.first_seed}..{args.first_seed + args.pairs - 1}")
