@@ -376,6 +376,13 @@ def test_search_config_validation():
         SearchConfig(iterations=10, scheme=BINARY_PHASE, algorithm="dbs")
     with pytest.raises(ValueError):
         SearchConfig(iterations=10, scheme=BINARY_PHASE, selection="greedy")
+    with pytest.raises(ValueError):
+        SearchConfig(iterations=10, scheme=BINARY_PHASE, trace_stride=0)
+    with pytest.raises(ValueError):
+        SearchConfig(iterations=10, scheme=BINARY_PHASE, recompute_interval=0)
+
+
+def test_schedule_validation():
     with pytest.raises(ValueError, match="only meaningful for algorithm 'sa'"):
         # a schedule makes no sense outside simulated annealing
         SearchConfig(iterations=10, scheme=BINARY_PHASE,
@@ -387,10 +394,6 @@ def test_search_config_validation():
                              (-1.0, 6.0, "t_coeff"), (1.0, math.nan, "t0")):
         with pytest.raises(ValueError, match=f"^{bad} must be positive and finite"):
             SearchConfig(iterations=10, scheme=BINARY_PHASE, algorithm=ALGO_SA, t_coeff=t_coeff, t0=t0)
-    with pytest.raises(ValueError):
-        SearchConfig(iterations=10, scheme=BINARY_PHASE, trace_stride=0)
-    with pytest.raises(ValueError):
-        SearchConfig(iterations=10, scheme=BINARY_PHASE, recompute_interval=0)
 
 
 # ------------------------------------------------------------- search: basics
