@@ -141,19 +141,14 @@ def _artifact_paths(config: ExperimentConfig, *names: str) -> dict[str, str]:
 
 
 def _write_summary(config: ExperimentConfig, report) -> None:
-    """Write summary.txt: the config's key = value lines, then one line per
-    report field in declaration order (all but ``paths``)."""
-    entries = [
-        ("image", config.image),
-        ("resolution", config.resolution),
-        ("scheme", config.scheme.name),
-        ("algorithm", config.algorithm),
-        ("iterations", config.iterations),
-        ("seed", config.seed),
-        ("symmetry", config.symmetry),
-    ] + [(f.name, getattr(report, f.name)) for f in fields(report) if f.name != "paths"]
+    """Write summary.txt: one line per config field in declaration order (all
+    but ``out_dir``, the scheme by its name), then one line per report field
+    in declaration order (all but ``paths``)."""
+    echo = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "out_dir"}
+    echo["scheme"] = config.scheme.name
+    results = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "paths"}
     with open(report.paths["summary.txt"], "w", encoding="ascii", newline="") as fh:
-        for key, value in entries:
+        for key, value in (*echo.items(), *results.items()):
             fh.write(format_entry(key, value) + "\n")
 
 
@@ -176,28 +171,6 @@ class AbReport:
     paths: dict[str, str]
 
 
-def ab_improvements(baseline: ConvergenceTrace, variant: ConvergenceTrace) -> tuple[float, float]:
-    """Both improvement numbers for an A/B pair, tolerant of degenerate runs.
-
-    Identical final errors mean improvement 0 under either definition (this
-    covers 0-iteration runs, where neither trace moved). Otherwise the
-    error-reduction-based and final-error-based definitions are evaluated;
-    a definition whose denominator is degenerate yields nan rather than an
-    error, so one odd run cannot kill a sweep.
-    """
-    if variant.final_mse == baseline.final_mse:
-        return 0.0, 0.0
-    try:
-        by_reduction = relative_improvement(baseline, variant)
-    except ValueError:
-        by_reduction = float("nan")
-    try:
-        by_final = final_error_improvement(baseline, variant)
-    except ValueError:
-        by_final = float("nan")
-    return by_reduction, by_final
-
-
 def run_convergence_ab(config: ExperimentConfig) -> AbReport:
     """Run the configured search twice, random vs sorted selection, and compare.
 
@@ -213,10 +186,6 @@ def run_convergence_ab(config: ExperimentConfig) -> AbReport:
     result_sps = run_search(target, config.search_config(SELECT_SPS), config.seed)
     wall = time.perf_counter() - t_start
 
-    if result_sps.trace.initial_mse != result_random.trace.initial_mse:
-        raise AssertionError("selection policies must share the starting error for one seed")
-    by_reduction, by_final = ab_improvements(result_random.trace, result_sps.trace)
-
     write_trace_csv(result_random.trace, paths["trace_random.csv"])
     write_trace_csv(result_sps.trace, paths["trace_sps.csv"])
     save_pgm(result_random.replay, paths["replay_random.pgm"], LINEAR_MAX)
@@ -228,8 +197,8 @@ def run_convergence_ab(config: ExperimentConfig) -> AbReport:
         final_mse_sps=result_sps.final_mse,
         error_reduction_random=result_random.trace.initial_mse - result_random.final_mse,
         error_reduction_sps=result_sps.trace.initial_mse - result_sps.final_mse,
-        improvement_error_reduction=by_reduction,
-        improvement_final_error=by_final,
+        improvement_error_reduction=relative_improvement(result_random.trace, result_sps.trace),
+        improvement_final_error=final_error_improvement(result_random.trace, result_sps.trace),
         accepted_random=result_random.accepted,
         accepted_sps=result_sps.accepted,
         wall_time_s=wall,
@@ -309,7 +278,7 @@ def run_scatter_experiment(config: ExperimentConfig) -> ScatterReport:
     d2 = deltas * deltas
     denom = float(d2 @ d2)
     coeff = float(d2 @ changes) / denom if denom > 0 else float("nan")
-    correlation = pearson(coeff * d2, changes) if denom > 0 else float("nan")
+    correlation = pearson(coeff * d2, changes)
 
     _write_csv(paths["scatter.csv"], SCATTER_HEADER, zip(indices, deltas, changes))
 
@@ -368,7 +337,6 @@ def run_histograms(config: ExperimentConfig) -> HistogramReport:
 class RenderReport:
     """One search run and its rendered hologram and replay."""
 
-    selection: str
     initial_mse: float
     final_mse: float
     accepted: int
@@ -400,6 +368,6 @@ def run_render(config: ExperimentConfig) -> RenderReport:
     save_pgm(result.replay, paths["replay.pgm"], LINEAR_MAX)
     write_trace_csv(result.trace, paths["trace.csv"])
 
-    report = RenderReport(config.selection, result.initial_mse, result.final_mse, result.accepted, wall, paths)
+    report = RenderReport(result.initial_mse, result.final_mse, result.accepted, wall, paths)
     _write_summary(config, report)
     return report

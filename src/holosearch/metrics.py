@@ -98,8 +98,9 @@ def mse(target_mag: np.ndarray | FoldedTarget, replay: np.ndarray, energy: float
 def pearson(x, y) -> float:
     """Pearson correlation coefficient of two equal-length 1D samples.
 
-    Raises ValueError for length < 2, mismatched lengths, or zero variance in
-    either sample (correlation undefined). Result is clipped to [-1, 1] to
+    Returns nan where the correlation is undefined: fewer than 2 samples, or
+    zero variance in either sample. Raises ValueError for mismatched lengths,
+    which is a fault of the caller. The result is clipped to [-1, 1] to
     absorb last-bit rounding.
     """
     xa = np.asarray(x, dtype=np.float64).ravel()
@@ -107,13 +108,13 @@ def pearson(x, y) -> float:
     if xa.size != ya.size:
         raise ValueError(f"length mismatch: {xa.size} vs {ya.size}")
     if xa.size < 2:
-        raise ValueError("need at least 2 samples")
+        return float("nan")
     xc = xa - xa.mean()
     yc = ya - ya.mean()
     vx = float(xc @ xc)
     vy = float(yc @ yc)
     if vx == 0.0 or vy == 0.0:
-        raise ValueError("zero variance: correlation undefined")
+        return float("nan")
     return float(np.clip((xc @ yc) / np.sqrt(vx * vy), -1.0, 1.0))
 
 
@@ -166,16 +167,9 @@ class ConvergenceTrace:
         return self.samples[-1].accepted
 
 
-def relative_improvement(baseline: ConvergenceTrace, variant: ConvergenceTrace) -> float:
-    """How much more error the variant removed than the baseline, relatively.
-
-    Both runs must start from the same error and end at the same iteration;
-    the result is ``(E_b - E_v) / (E_0 - E_b)`` where E_0 is the shared initial
-    error and E_b, E_v the final errors. Positive means the variant ended
-    lower. Raises ValueError if the starting errors differ, the final
-    iterations differ, or the baseline made no reduction (denominator <= 0,
-    improvement undefined).
-    """
+def _check_pair(baseline: ConvergenceTrace, variant: ConvergenceTrace) -> None:
+    """Raise ValueError unless two traces are the arms of one A/B comparison:
+    both non-empty, from the same starting error, to the same iteration."""
     if not baseline.samples or not variant.samples:
         raise ValueError("empty trace")
     if baseline.initial_mse != variant.initial_mse:
@@ -186,9 +180,26 @@ def relative_improvement(baseline: ConvergenceTrace, variant: ConvergenceTrace) 
         raise ValueError(
             f"traces end at different iterations: {baseline.final_iteration} vs {variant.final_iteration}"
         )
+
+
+def relative_improvement(baseline: ConvergenceTrace, variant: ConvergenceTrace) -> float:
+    """How much more error the variant removed than the baseline, relatively.
+
+    ``(E_b - E_v) / (E_0 - E_b)``, where E_0 is the shared initial error and
+    E_b, E_v the final errors; positive means the variant ended lower.
+
+    Like :func:`final_error_improvement`: 0.0 when the two arms end at the
+    same error (a 0-iteration run included); nan when the ratio is undefined,
+    here when the baseline made no reduction (E_0 - E_b <= 0); ValueError when
+    the traces are not one A/B pair (an empty trace, different starting
+    errors or different final iterations).
+    """
+    _check_pair(baseline, variant)
+    if variant.final_mse == baseline.final_mse:
+        return 0.0
     reduction = baseline.initial_mse - baseline.final_mse
     if reduction <= 0:
-        raise ValueError("baseline made no error reduction; improvement undefined")
+        return float("nan")
     return (baseline.final_mse - variant.final_mse) / reduction
 
 
@@ -196,10 +207,13 @@ def final_error_improvement(baseline: ConvergenceTrace, variant: ConvergenceTrac
     """Relative final-error gap ``(E_b - E_v) / E_b``.
 
     A second, blunter comparison reported alongside
-    :func:`relative_improvement`; requires a nonzero baseline final error.
+    :func:`relative_improvement`, under the same rule: 0.0 when the arms end
+    equal, nan when the ratio is undefined (a zero baseline final error),
+    ValueError when the traces are not one A/B pair.
     """
-    if not baseline.samples or not variant.samples:
-        raise ValueError("empty trace")
+    _check_pair(baseline, variant)
+    if variant.final_mse == baseline.final_mse:
+        return 0.0
     if baseline.final_mse == 0:
-        raise ValueError("baseline final error is zero; relative gap undefined")
+        return float("nan")
     return (baseline.final_mse - variant.final_mse) / baseline.final_mse

@@ -54,11 +54,12 @@ def _read_token(data: bytes, pos: int, what: str) -> tuple[bytes, int, int]:
     return data[start:pos], start, pos
 
 
-def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
+    """Return (value, token_start, position_after)."""
     token, start, after = _read_token(data, pos, what)
     if not token.isdigit():
         raise PgmError(start, f"expected unsigned decimal {what}, got {token[:20]!r}")
-    return int(token), after
+    return int(token), start, after
 
 
 def load_pgm(path) -> TargetImage:
@@ -67,7 +68,7 @@ def load_pgm(path) -> TargetImage:
     Raises PgmError, with the byte offset, for: wrong magic (including the
     ASCII ``P2`` flavor), non-numeric or out-of-range header fields
     (maxval must be 1..65535), missing separator after maxval, truncated
-    payload, or trailing junk beyond the payload.
+    payload, a sample above maxval, or trailing junk beyond the payload.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -76,12 +77,12 @@ def load_pgm(path) -> TargetImage:
         raise PgmError(0, f"not a binary PGM: magic {got!r} (only P5 is supported)")
     if len(data) > 2 and data[2:3] not in _WHITESPACE and data[2] != 0x23:
         raise PgmError(2, "magic P5 not followed by whitespace")
-    width, pos = _read_int(data, 2, "width")
-    height, pos = _read_int(data, pos, "height")
-    maxval_at = _skip_separators(data, pos)
-    maxval, pos = _read_int(data, pos, "maxval")
+    width, width_at, pos = _read_int(data, 2, "width")
+    height, height_at, pos = _read_int(data, pos, "height")
+    maxval, maxval_at, pos = _read_int(data, pos, "maxval")
     if width < 1 or height < 1:
-        raise PgmError(2, f"image dimensions must be positive, got {width}x{height}")
+        raise PgmError(width_at if width < 1 else height_at,
+                       f"image dimensions must be positive, got {width}x{height}")
     if not 1 <= maxval <= 65535:
         raise PgmError(maxval_at, f"maxval must be in 1..65535, got {maxval}")
     if pos >= len(data):
@@ -100,6 +101,10 @@ def load_pgm(path) -> TargetImage:
     raw = data[pos:pos + need]
     dtype = ">u2" if bytes_per == 2 else np.uint8
     samples = np.frombuffer(raw, dtype=dtype).reshape(height, width)
+    over = np.flatnonzero(samples > maxval)
+    if over.size:
+        first = int(over[0])
+        raise PgmError(pos + first * bytes_per, f"sample {samples.flat[first]} exceeds maxval {maxval}")
     return TargetImage(samples.astype(np.float64) / maxval)
 
 

@@ -61,11 +61,13 @@ def boltzmann_accept(delta_e: float, temperature: float, rng: np.random.Generato
 
     Improvements and zero deltas (dE <= 0) are always kept and consume no
     randomness; a worsening candidate consumes exactly one uniform draw and is
-    kept with probability exp(-dE / T).
+    kept with probability exp(-dE / T). A temperature that has underflowed to
+    0.0 rejects it, the T -> 0+ limit, after the same one draw.
     """
     if delta_e <= 0:
         return True
-    return rng.random() < math.exp(-delta_e / temperature)
+    draw = rng.random()
+    return temperature > 0 and draw < math.exp(-delta_e / temperature)
 
 
 def sps_order(changes: np.ndarray) -> np.ndarray:

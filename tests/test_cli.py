@@ -90,7 +90,9 @@ def test_render_end_to_end(tmp_path, capsys):
     assert "final_mse = " in capsys.readouterr().out
 
 
-CONFIG_KEYS = ["image", "resolution", "scheme", "algorithm", "iterations", "seed", "symmetry"]
+# Every ExperimentConfig field but out_dir, in field order.
+CONFIG_KEYS = ["image", "resolution", "scheme", "algorithm", "selection", "iterations", "seed", "symmetry",
+               "t_coeff", "t0", "trace_stride", "recompute_interval", "scatter_samples"]
 
 # Per subcommand: the key = value lines it prints, the artifacts it announces
 # with "wrote", and the driver keys summary.txt lists after the config keys.
@@ -113,7 +115,7 @@ LAYOUT = {
     "render": (
         ["initial_mse", "final_mse", "accepted"],
         ["hologram.pgm", "replay.pgm"],
-        ["selection", "initial_mse", "final_mse", "accepted", "wall_time_s"]),
+        ["initial_mse", "final_mse", "accepted", "wall_time_s"]),
 }
 
 
@@ -150,7 +152,33 @@ def test_sa_schedule_flags(tmp_path):
                   "--algorithm", "sa", "--t-coeff", 0.001, "--t0", 4.0,
                   "--out-dir", out])
     assert rc == 0
-    assert "algorithm = sa" in (out / "summary.txt").read_text()
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert {"algorithm = sa", "t_coeff = 0.001", "t0 = 4"} <= set(summary)
+
+
+def test_unset_schedule_echoes_none(tmp_path):
+    out = tmp_path / "default"
+    assert run_cli(["render", "--resolution", 64, "--iterations", 0, "--out-dir", out]) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert {"t_coeff = None", "t0 = None"} <= set(summary)
+
+
+def test_scatter_of_one_sample_reports_nan_correlation(tmp_path, capsys):
+    """One sample leaves the correlation undefined: nan, not a failed run."""
+    out = tmp_path / "one"
+    assert run_cli(["scatter", "--resolution", 64, "--scatter-samples", 1, "--out-dir", out]) == 0
+    assert "pearson_fit_observed = nan" in capsys.readouterr().out.splitlines()
+    assert len((out / "scatter.csv").read_text().splitlines()) == 2
+
+
+def test_sa_whose_temperature_underflows_runs(tmp_path):
+    """exp(-800) is 0.0 in double precision, so the late iterations of this
+    schedule run at T = 0 and reject every worsening candidate."""
+    out = tmp_path / "cold"
+    rc = run_cli(["render", "--resolution", 64, "--iterations", 400, "--algorithm", "sa",
+                  "--t-coeff", 1, "--t0", 800, "--out-dir", out])
+    assert rc == 0
+    assert "t0 = 800" in (out / "summary.txt").read_text().splitlines()
 
 
 # ----------------------------------------------------------------- failures

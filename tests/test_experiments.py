@@ -2,7 +2,6 @@
 render, and the artifact files they write."""
 
 import dataclasses
-import math
 import os
 
 import numpy as np
@@ -14,7 +13,6 @@ from holosearch.experiments import (
     SCATTER_HEADER,
     TRACE_HEADER,
     ExperimentConfig,
-    ab_improvements,
     histogram_rows,
     hologram_to_image,
     prepare_target,
@@ -25,7 +23,7 @@ from holosearch.experiments import (
     scatter_sweep,
 )
 from holosearch.field import dft2, idft2
-from holosearch.metrics import ConvergenceTrace, mse
+from holosearch.metrics import mse
 from holosearch.pgm import CLAMP_UNIT, load_pgm, save_pgm
 from holosearch.search import SearchConfig
 from holosearch.slm import ModulationScheme, quantise
@@ -130,41 +128,19 @@ def test_prepare_target_missing_file():
         prepare_target(cfg)
 
 
-# ----------------------------------------------------------- ab_improvements
-
-
-def test_ab_improvements_identical_traces():
-    tr = ConvergenceTrace()
-    tr.append(0, 1.0, 0)
-    tr2 = ConvergenceTrace()
-    tr2.append(0, 1.0, 0)
-    assert ab_improvements(tr, tr2) == (0.0, 0.0)
-
-
-def test_ab_improvements_degenerate_baseline_is_nan():
-    base = ConvergenceTrace()
-    base.append(0, 1.0, 0)
-    base.append(10, 1.0, 0)  # no reduction
-    var = ConvergenceTrace()
-    var.append(0, 1.0, 0)
-    var.append(10, 0.5, 3)
-    by_reduction, by_final = ab_improvements(base, var)
-    assert math.isnan(by_reduction)
-    assert abs(by_final - 0.5) < 1e-12
-
-
 # --------------------------------------------------------- reports and summaries
 
 
 @pytest.mark.parametrize("driver", [run_convergence_ab, run_scatter_experiment,
                                     run_histograms, run_render], ids=lambda d: d.__name__)
 def test_summary_driver_lines_are_the_report_fields(driver, tmp_path):
-    """After the seven config lines, summary.txt holds one line per report
-    field in declaration order, each value read back exactly; ``paths`` names
-    every file the driver wrote."""
+    """After the config echo, summary.txt holds one line per report field in
+    declaration order, each value read back exactly; ``paths`` names every
+    file the driver wrote."""
     report = driver(fast_config(tmp_path, scatter_samples=300))
     out = tmp_path / "out"
-    lines = (out / "summary.txt").read_text().splitlines()[7:]
+    echo = len(dataclasses.fields(ExperimentConfig)) - 1  # every field but out_dir
+    lines = (out / "summary.txt").read_text().splitlines()[echo:]
     names = [f.name for f in dataclasses.fields(report) if f.name != "paths"]
     assert [line.split(" = ")[0] for line in lines] == names
     for line, name in zip(lines, names):

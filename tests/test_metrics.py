@@ -1,5 +1,7 @@
 """Tests for the error metric, correlation and improvement accounting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,12 +144,13 @@ def test_pearson_bounds():
 
 
 def test_pearson_errors():
-    with pytest.raises(ValueError):
-        pearson(np.array([1.0]), np.array([2.0]))
+    # undefined correlations are nan
+    assert math.isnan(pearson(np.array([1.0]), np.array([2.0])))
+    assert math.isnan(pearson(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])))
+    assert math.isnan(pearson(np.array([1.0, 2.0, 3.0]), np.array([4.0, 4.0, 4.0])))
+    # mismatched lengths are the caller's fault
     with pytest.raises(ValueError):
         pearson(np.array([1.0, 2.0]), np.array([2.0]))
-    with pytest.raises(ValueError):
-        pearson(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
 
 
 # -------------------------------------------------------------------- traces
@@ -215,14 +218,35 @@ def test_relative_improvement_errors():
         # differing final iteration: not a like-for-like comparison
         relative_improvement(make_trace([1.0, 0.5], [0, 10]),
                              make_trace([1.0, 0.5], [0, 20]))
-    with pytest.raises(ValueError):
-        # baseline made no reduction: denominator is zero
-        relative_improvement(make_trace([1.0, 1.0]), make_trace([1.0, 0.5]))
+    # baseline made no reduction: the ratio is undefined
+    assert math.isnan(relative_improvement(make_trace([1.0, 1.0]), make_trace([1.0, 0.5])))
+    assert math.isnan(relative_improvement(make_trace([1.0, 1.5]), make_trace([1.0, 0.5])))
 
 
 def test_final_error_improvement():
     base = make_trace([1.0, 0.5])
     var = make_trace([1.0, 0.4])
     assert abs(final_error_improvement(base, var) - 0.2) < 1e-12
+    # a zero baseline final error leaves the ratio undefined
+    assert math.isnan(final_error_improvement(make_trace([1.0, 0.0]), var))
     with pytest.raises(ValueError):
-        final_error_improvement(make_trace([1.0, 0.0]), var)
+        final_error_improvement(ConvergenceTrace(), var)
+    with pytest.raises(ValueError):
+        final_error_improvement(base, make_trace([0.9, 0.4]))
+    with pytest.raises(ValueError):
+        final_error_improvement(base, make_trace([1.0, 0.4], [0, 10]))
+
+
+def test_ab_identical_traces_improve_by_zero():
+    """Arms that end equal improve by 0 under both definitions, also where a
+    ratio would be undefined: a 0-iteration run, or no reduction at all."""
+    for mses in ([1.0], [1.0, 1.0], [1.0, 0.0]):
+        assert relative_improvement(make_trace(mses), make_trace(mses)) == 0.0
+        assert final_error_improvement(make_trace(mses), make_trace(mses)) == 0.0
+
+
+def test_ab_degenerate_baseline_is_nan():
+    base = make_trace([1.0, 1.0], [0, 10], [0, 0])  # no reduction
+    var = make_trace([1.0, 0.5], [0, 10], [0, 3])
+    assert math.isnan(relative_improvement(base, var))
+    assert abs(final_error_improvement(base, var) - 0.5) < 1e-12

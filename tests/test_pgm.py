@@ -90,19 +90,38 @@ def test_load_empty_file(tmp_path):
 
 @pytest.mark.parametrize("data, offset, message", [
     (b"P5x2 2\n255\n" + bytes(4), 2, "magic P5 not followed by whitespace"),
-    (b"P5\n0 2\n255\n", 2, "image dimensions must be positive, got 0x2"),
+    (b"P5\n0 2\n255\n", 3, "image dimensions must be positive, got 0x2"),
+    (b"P5\n2 0\n255\n", 5, "image dimensions must be positive, got 2x0"),
     (b"P5 2", 4, "unexpected end of header while reading height"),
     (b"P5 # no newline", 15, "unexpected end of header while reading width"),
     (b"P5 2 2 255", 10, "unexpected end of file after maxval"),
     # with the '#' taken as the separator the payload would be exactly 4 bytes
     (b"P5 2 2 255#c" + bytes(3), 10, "maxval must be followed by a single whitespace byte"),
-], ids=["magic-then-x", "zero-width", "ends-in-header", "comment-to-eof",
+], ids=["magic-then-x", "zero-width", "zero-height", "ends-in-header", "comment-to-eof",
         "ends-after-maxval", "comment-after-maxval"])
 def test_load_header_faults_name_their_byte(tmp_path, data, offset, message):
     with pytest.raises(PgmError) as ei:
         load_pgm(write_bytes(tmp_path, data))
     assert ei.value.offset == offset
     assert str(ei.value) == f"byte {offset}: {message}"
+
+
+@pytest.mark.parametrize("data, offset, message", [
+    (b"P5\n2 2\n100\n" + bytes([0x00, 0x32, 0x64, 0xC8]), 14, "sample 200 exceeds maxval 100"),
+    (b"P5\n2 2\n300\n" + bytes([0x00, 0x05, 0x01, 0x2D, 0x01, 0x2C, 0xFF, 0xFF]), 13,
+     "sample 301 exceeds maxval 300"),
+], ids=["one-byte", "two-byte"])
+def test_load_sample_above_maxval_names_its_byte(tmp_path, data, offset, message):
+    """Samples above maxval would load as magnitudes above 1."""
+    with pytest.raises(PgmError) as ei:
+        load_pgm(write_bytes(tmp_path, data))
+    assert ei.value.offset == offset
+    assert str(ei.value) == f"byte {offset}: {message}"
+
+
+def test_load_samples_at_maxval_are_one(tmp_path):
+    img = load_pgm(write_bytes(tmp_path, b"P5\n2 2\n300\n" + bytes([0x01, 0x2C, 0x00, 0x00] * 2)))
+    assert img.mag.tolist() == [[1.0, 0.0], [1.0, 0.0]]
 
 
 def test_pgm_error_is_value_error():

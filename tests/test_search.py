@@ -76,6 +76,18 @@ def test_accept_worsening_at_zero_temperature():
     assert not boltzmann_accept(1e-12, 1e-300, rng)
 
 
+def test_underflowed_temperature_rejects_after_one_draw():
+    """A schedule such as t0 = 800 reaches T = 0.0 in double precision; a
+    worsening candidate is then rejected (the T -> 0+ limit) and still
+    consumes its one draw, so the acceptance stream stays in step."""
+    rng = substream(45, STREAM_ACCEPTANCE)
+    twin = substream(45, STREAM_ACCEPTANCE)
+    assert not boltzmann_accept(1e-12, 0.0, rng)
+    twin.random()
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert boltzmann_accept(0.0, 0.0, rng)
+
+
 # ------------------------------------------------------------ pixel ordering
 
 

@@ -1,0 +1,141 @@
+"""Compare what ``holo`` writes at a commit with what the working tree writes.
+
+    python3 tools/same_bytes.py --rev REV
+
+Run from anywhere; the checkout is the parent of this file's directory. REV
+is exported with ``pairs.export`` into a temporary directory outside the
+checkout and removed afterwards; the working tree runs as it is,
+uncommitted changes included. Each invocation in RUNS runs once in each
+tree, as ``python3 -m holosearch.cli`` with that tree's ``src`` first on
+PYTHONPATH. Run i runs in its own working directory with ``--out-dir
+runNN`` (NN = i, two digits), so the paths that stdout names are the same in
+both trees; its stdout, stderr and exit code are kept beside that directory
+as ``runNN.stdout``, ``runNN.stderr`` and ``runNN.exit``.
+
+Every file is then compared byte for byte, except ``summary.txt``, which is
+compared with its ``wall_time_s`` line dropped. Each difference is printed,
+as a unified diff for summaries, stdout, stderr and exit codes; the exit
+status is 1 if anything differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+from bench import ROOT
+from pairs import export
+
+_BARS = ("--image", "synthetic-bars")
+
+# Each run's arguments to ``holo``, without --out-dir.
+RUNS = (
+    ("run-ab", "--resolution", "128"),
+    ("run-ab", "--resolution", "128", "--symmetry"),
+    ("run-ab", "--resolution", "64"),
+    ("run-ab", "--resolution", "64", "--algorithm", "sa", "--scheme", "phase:8"),
+    ("render", "--resolution", "256", "--selection", "sps", "--scheme", "phase:8"),
+    ("render", "--resolution", "128", "--scheme", "amplitude:5", "--iterations", "20000"),
+    ("render", "--resolution", "64", "--scheme", "binary-amplitude"),
+    ("render", "--resolution", "64", "--scheme", "phase:3", *_BARS),
+    ("render", "--resolution", "64", "--scheme", "phase:7", *_BARS),
+    ("render", "--resolution", "64", "--scheme", "phase:16", *_BARS),
+    ("render", "--resolution", "64", "--scheme", "phase:cont"),
+    ("render", "--resolution", "64", "--algorithm", "sa", "--scheme", "amplitude:5", "--recompute-interval", "3"),
+    ("render", "--resolution", "64", "--algorithm", "ds-naive", "--scheme", "phase:8", "--iterations", "500"),
+    ("scatter", "--resolution", "64", "--scheme", "binary-phase"),
+    ("scatter", "--resolution", "64", "--scheme", "phase:8"),
+    ("hist", "--resolution", "64"),
+    ("hist", "--resolution", "64", "--scheme", "phase:5"),
+    # fails: a custom schedule needs both --t-coeff and --t0
+    ("run-ab", "--resolution", "64", "--algorithm", "sa", "--t0", "3"),
+)
+
+# Files compared as text, so a difference prints as a unified diff.
+TEXT_SUFFIXES = ("summary.txt", ".stdout", ".stderr", ".exit")
+WALL_TIME = b"wall_time_s = "
+
+
+def run_all(tree: str, work: str) -> None:
+    """Run every invocation in RUNS with ``tree``'s package, writing into ``work``."""
+    os.makedirs(work)
+    pythonpath = [os.path.join(tree, "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in pythonpath if p)}
+    for i, args in enumerate(RUNS):
+        name = f"run{i:02d}"
+        out = subprocess.run([sys.executable, "-m", "holosearch.cli", *args, "--out-dir", name],
+                             cwd=work, env=env, capture_output=True)
+        for suffix, data in ((".stdout", out.stdout), (".stderr", out.stderr),
+                             (".exit", f"{out.returncode}\n".encode())):
+            with open(os.path.join(work, name + suffix), "wb") as fh:
+                fh.write(data)
+
+
+def _files(root: str) -> set[str]:
+    return {os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names}
+
+
+def _content(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if os.path.basename(path) == "summary.txt":
+        data = b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(WALL_TIME))
+    return data
+
+
+def differences(base: str, change: str) -> list[str]:
+    """How the files under ``change`` differ from those under ``base``, as
+    printable lines; empty when every file matches (summary.txt without its
+    wall-time line)."""
+    lines = []
+    in_base, in_change = _files(base), _files(change)
+    for name in sorted(in_base | in_change):
+        if name not in in_change or name not in in_base:
+            lines.append(f"only in {'base' if name in in_base else 'change'}: {name}")
+            continue
+        old, new = _content(os.path.join(base, name)), _content(os.path.join(change, name))
+        if old == new:
+            continue
+        if name.endswith(TEXT_SUFFIXES):
+            lines += [line.rstrip("\n") for line in difflib.unified_diff(
+                old.decode("utf-8", "replace").splitlines(), new.decode("utf-8", "replace").splitlines(),
+                f"base/{name}", f"change/{name}", n=0, lineterm="")]
+        else:
+            lines.append(f"differs: {name}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rev", required=True, help="commit to compare the working tree with")
+    args = ap.parse_args(argv)
+
+    tmp = tempfile.mkdtemp(prefix="holosearch-same-bytes-")
+    try:
+        tree = os.path.join(tmp, "tree")
+        os.makedirs(tree)
+        commit = export(args.rev, tree)
+        for side, source in (("base", tree), ("change", ROOT)):
+            run_all(source, os.path.join(tmp, side))
+            print(f"{side}: {len(RUNS)} runs done", file=sys.stderr)
+        found = differences(os.path.join(tmp, "base"), os.path.join(tmp, "change"))
+        compared = len(_files(os.path.join(tmp, "base")) | _files(os.path.join(tmp, "change")))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    print(f"{commit[:12]} (base) against the working tree (change), {len(RUNS)} runs:")
+    for i, run in enumerate(RUNS):
+        print(f"  run{i:02d}: holo {' '.join(run)}")
+    for line in found:
+        print(line)
+    print(f"{compared} files compared: {'differences above' if found else 'all the same'}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
