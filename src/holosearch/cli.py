@@ -69,7 +69,8 @@ _OPTIONS = {
     "t0": _Option(float, "annealing decay constant (sa only)"),
     "out_dir": _Option(str, "output directory (created if missing)"),
     "trace_stride": _Option(int, "iterations between trace samples"),
-    "recompute_interval": _Option(int, "accepted updates between full replay recomputes"),
+    "recompute_interval": _Option(int, "accepted updates between fresh transforms of the replay"
+                                       " (of its leading rows for a real aperture)"),
     "scatter_samples": _Option(int, "pixels sampled by the scatter experiment"),
 }
 

@@ -17,14 +17,14 @@ Scoring uses an O(N) single-pixel replay update rather than a full transform,
 and scores every candidate from the aperture energy:
 ``N * mse = E - 2 * sum(|R| * T) + sum(T^2)``, with E moved in O(1) per
 candidate. For a real aperture (binary phase and every amplitude scheme) the
-replay is Hermitian, so the loop updates and scores only its leading
-``Ny//2 + 1`` rows, against the folded target, and mirror-fills the rest once
-at the end; complex apertures use the whole grid. A rejected candidate is
-rolled back inside the next candidate's update (``delta_update(...,
-undo=)``), and one still pending when the loop ends is reverted before the
-replay is returned. ``ds-naive`` runs the mathematically identical
-full-transform path in a loop of its own and exists to cross-check the fast
-one decision-for-decision.
+replay is Hermitian, so the search transforms (with a real-input FFT),
+updates and scores only its leading ``Ny//2 + 1`` rows, against the folded
+target, and mirror-fills the rest once at the end; complex apertures use the
+whole grid. A rejected candidate is rolled back inside the next candidate's
+update (``delta_update(..., undo=)``), and one still pending when the loop
+ends is reverted before the replay is returned. ``ds-naive`` runs the
+mathematically identical full-transform path in a loop of its own and exists
+to cross-check the fast one decision-for-decision.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import delta_update, dft2, fill_mirror, half_rows, idft2, revert, unit_phasors
-from .metrics import ConvergenceTrace, fold_target, mse
+from .metrics import ConvergenceTrace, FoldedTarget, fold_target, mse
 from .rng import (
     STREAM_ACCEPTANCE,
     STREAM_PHASE,
@@ -178,9 +178,9 @@ class SearchConfig:
 
     recompute_interval bounds floating-point drift in the incrementally
     updated replay: after that many accepted updates the replay and error are
-    refreshed from a full transform. trace_stride controls how often the
-    convergence trace is sampled (iteration 0 and the final iteration are
-    always recorded).
+    refreshed from a fresh transform, of the leading rows for a real
+    aperture. trace_stride controls how often the convergence trace is
+    sampled (iteration 0 and the final iteration are always recorded).
     """
 
     iterations: int
@@ -260,19 +260,36 @@ def _energy(hologram: np.ndarray) -> float:
     return float(np.vdot(hologram, hologram).real)
 
 
-def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Set-up shared by every algorithm: the quantised random-phase
-    back-projection, its replay, and the sps order (None for random).
+    back-projection and the sps order (None for random).
 
     The back-projection is dropped as soon as the change map is taken, so it
-    is not held through the transform and the sort."""
+    is not held through the sort."""
     projected = back_project(target, substream(seed, STREAM_PHASE))
     hologram = quantise(projected, config.scheme)
     changes = change_map(projected, hologram) if config.selection == SELECT_SPS else None
     del projected
-    replay = dft2(hologram)
     order = None if changes is None else sps_order(changes)
-    return hologram, replay, order
+    return hologram, order
+
+
+def _fresh_replay(hologram: np.ndarray, replay: np.ndarray | None, scored: FoldedTarget,
+                  real: bool) -> tuple[np.ndarray, float, float]:
+    """The replay of ``hologram`` from a fresh transform, with its error and
+    the aperture energy.
+
+    For a real aperture only the leading rows that ``scored`` covers are
+    transformed, into ``replay``, a full-height array whose other rows are
+    left alone, and scored in the energy form. For a complex aperture the
+    whole transform is a new array, scored against the whole target."""
+    energy = _energy(hologram)
+    if real:
+        leading = replay[:scored.folded.shape[0]]
+        leading[...] = dft2(hologram, rows=leading.shape[0])
+        return replay, mse(scored, leading, energy=energy), energy
+    replay = dft2(hologram)
+    return replay, mse(scored.folded, replay), energy
 
 
 def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchResult:
@@ -287,28 +304,27 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     """
     if config.algorithm == ALGO_DS_NAIVE:
         return _naive_search(target, config, seed)
-    hologram, replay, order = _start(target, config, seed)
+    hologram, order = _start(target, config, seed)
     select_rng = substream(seed, STREAM_SELECTION)
     proposal_rng = substream(seed, STREAM_PROPOSAL)
     accept_rng = substream(seed, STREAM_ACCEPTANCE)
 
+    # Candidates are scored from the aperture energy and the replay's leading
+    # rows: all of them for a complex aperture, the Hermitian half for a real
+    # one (against the folded target). Only those rows are ever transformed.
     height, width = target.shape
-    target_mag = target.mag
-    current_mse = initial_mse = mse(target_mag, replay)
+    real = config.scheme.is_real
+    rows = half_rows(height) if real else height
+    scored = fold_target(target.mag, real)
+    replay = np.empty(target.shape, dtype=np.complex128) if real else None
+    replay, current_mse, energy = _fresh_replay(hologram, replay, scored, real)
+    initial_mse = current_mse
+    leading = replay[:rows]
 
     annealing = config.algorithm == ALGO_SA
     t_coeff, t0 = config.t_coeff, config.t0
     if annealing and t_coeff is None:
         t_coeff, t0 = _default_schedule(initial_mse, width * height)
-
-    # Candidates are scored from the aperture energy and the replay's leading
-    # rows: all of them for a complex aperture, the Hermitian half for a real
-    # one (against the folded target).
-    real = config.scheme.is_real
-    rows = half_rows(height) if real else height
-    scored = fold_target(target_mag, real)
-    energy = _energy(hologram)
-    leading = replay[:rows]
     # A rejected candidate stays in the replay until the next update takes it
     # back out in the same pass.
     pending = None
@@ -337,10 +353,8 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
             current_mse, energy = candidate_mse, candidate_energy
             hologram[y, x] = new_value
             if accepted % config.recompute_interval == 0:
-                replay = dft2(hologram)
+                replay, current_mse, energy = _fresh_replay(hologram, replay, scored, real)
                 leading = replay[:rows]
-                current_mse = mse(target_mag, replay)
-                energy = _energy(hologram)
 
         if it % config.trace_stride == 0 or it == config.iterations:
             trace.append(it, current_mse, accepted)
@@ -356,7 +370,8 @@ def _naive_search(target: TargetImage, config: SearchConfig, seed: int) -> Searc
     """``ds-naive``: direct search that scores each candidate with a full
     transform of the changed hologram. It draws the same random numbers as
     ``ds-fast`` and is the reference the fast path is tested against."""
-    hologram, replay, order = _start(target, config, seed)
+    hologram, order = _start(target, config, seed)
+    replay = dft2(hologram)
     select_rng = substream(seed, STREAM_SELECTION)
     proposal_rng = substream(seed, STREAM_PROPOSAL)
     height, width = target.shape

@@ -118,19 +118,32 @@ def synthetic_mandrill(size: int) -> TargetImage:
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
     rng = np.random.default_rng(np.random.SeedSequence(_TEXTURE_SEED))
-    # fftfreq is exactly antisymmetric, f[size - k] == -f[k], and hypot ignores
-    # signs, so the amplitude is computed on rows and columns 0 .. size//2
-    # and mirrored into the rest.
+    # The texture is Re(ifft2(S)) for the spectrum S = amp * phasors, which
+    # is the inverse real transform of S's Hermitian part
+    # H[v, u] = (S[v, u] + conj(S[-v, -u])) / 2, so only columns
+    # 0 .. size//2 of H are formed. The amplitude is symmetric, amp[-v, -u]
+    # == amp[v, u], and fftfreq is exactly antisymmetric, f[size - k] == -f[k],
+    # while hypot ignores signs: the amplitude is computed on rows and
+    # columns 0 .. size//2 and mirrored into the other rows.
     h = size // 2 + 1
     fq = np.fft.fftfreq(size)[:h]
-    amp = np.empty((size, size))
-    amp[:h, :h] = (np.hypot(fq[:, None], fq[None, :]) + 1.0 / size) ** -1.2
-    amp[:h, h:] = amp[:h, size - h:0:-1]
+    amp = np.empty((size, h))
+    amp[:h] = (np.hypot(fq[:, None], fq[None, :]) + 1.0 / size) ** -1.2
     amp[h:] = amp[size - h:0:-1]
     amp[0, 0] = 0.0  # flat offset added back by the [0, 1] rescale
-    spec = unit_phasors(2 * np.pi * rng.random((size, size)))
-    spec *= amp
-    tex = np.fft.ifft2(spec).real
+    amp *= 0.5
+    phasors = unit_phasors(2 * np.pi * rng.random((size, size)))
+    # Point reflection of columns 0 .. h-1: row 0 maps to itself, row v to
+    # row size - v; column 0 maps to itself, column u to column size - u.
+    herm = np.empty((size, h), dtype=np.complex128)
+    herm[0, 0] = phasors[0, 0]
+    herm[0, 1:] = phasors[0, size - 1:size - h:-1]
+    herm[1:, 0] = phasors[:0:-1, 0]
+    herm[1:, 1:] = phasors[:0:-1, size - 1:size - h:-1]
+    np.conjugate(herm, out=herm)
+    herm += phasors[:, :h]
+    herm *= amp
+    tex = np.fft.irfft2(herm, s=(size, size))
     lo, hi = tex.min(), tex.max()
     tex = (tex - lo) / (hi - lo)
     tex = np.clip(1.3 * (tex - 0.5) + 0.5, 0.0, 1.0) ** 2.2

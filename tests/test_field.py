@@ -164,6 +164,42 @@ def test_dft2_accepts_real_input():
     assert np.max(np.abs(out - dft2_loop(f))) < 1e-12
 
 
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(height=st.integers(2, 33), width=st.integers(2, 33), stored_complex=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_dft2_leading_rows_of_a_real_field(height, width, stored_complex, seed):
+    """``dft2(f, rows=half_rows(ny))`` is the leading rows of the whole
+    transform, for odd and even sides, a real field stored as float64 or
+    complex128; fill_mirror rebuilds the whole transform from them; and a
+    nonzero imaginary part anywhere is refused."""
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((height, width))
+    if stored_complex:
+        f = f + 0j
+    rows = half_rows(height)
+    full = dft2(f)
+    leading = dft2(f, rows=rows)
+    bound = 1e-12 * np.linalg.norm(f)
+    assert leading.shape == (rows, width)
+    assert np.max(np.abs(leading - full[:rows])) <= bound
+
+    rebuilt = np.full((height, width), np.nan, dtype=np.complex128)
+    rebuilt[:rows] = leading
+    fill_mirror(rebuilt, rows)
+    assert np.max(np.abs(rebuilt - full)) <= bound
+
+    g = f + 0j
+    g[rng.integers(height), rng.integers(width)] += 1j * rng.uniform(1e-300, 1.0)
+    with pytest.raises(ValueError, match="real field"):
+        dft2(g, rows=rows)
+
+
+@pytest.mark.parametrize("height, rows", [(2, 0), (2, 3), (7, 5), (8, 6)])
+def test_dft2_rows_outside_the_half_are_refused(height, rows):
+    with pytest.raises(ValueError, match="^rows must be 1 .. "):
+        dft2(np.ones((height, 3)), rows=rows)
+
+
 # -------------------------------------------------------------- delta_update
 
 

@@ -4,6 +4,8 @@ and its run list against the option table."""
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
 import same_bytes  # noqa: E402
 
@@ -50,13 +52,56 @@ def test_every_kind_of_difference_is_reported(tmp_path):
         "run02.exit": "0\n",
     }))
     assert same_bytes.differences(base, change) == [
+        "kind: run00.exit: integer field on line 1: 0 -> 1",
         "--- base/run00.exit", "+++ change/run00.exit", "@@ -1 +1 @@", "-0", "+1",
         "differs: run00/replay.pgm",
+        "kind: run00/summary.txt: row count 2 -> 3",
         "--- base/run00/summary.txt", "+++ change/run00/summary.txt", "@@ -1,0 +2 @@", "+seed = 0",
         "only in base: run00/trace.csv",
         "only in base: run01.exit",
         "only in change: run02.exit",
     ]
+
+
+def test_float_digits_alone_are_told_apart(tmp_path):
+    """A run whose CSV, summary and stdout differ only in float digits is
+    reported as such, with the largest absolute and relative difference
+    over every field that moved; the PGM is the same and not mentioned."""
+    base = make_tree(tmp_path / "base", run_dir(**{
+        "run00/trace.csv": "iteration,mse,accepted\n0,0.25,0\n100,0.125,7\n",
+    }))
+    change = make_tree(tmp_path / "change", run_dir(**{
+        "run00/trace.csv": "iteration,mse,accepted\n0,0.25000000000000006,0\n100,0.12500000000000003,7\n",
+        "run00/summary.txt": SUMMARY.replace("0.5", "0.5000000000000001").format("3"),
+        "run00.stdout": "final_mse = 0.49999999999999994\nwrote run00/replay.pgm\n",
+    }))
+    kinds = [line for line in same_bytes.differences(base, change) if line.startswith("kind: ")]
+    assert kinds == [
+        "kind: run00.stdout: float fields only, largest absolute difference 5.55e-17, largest relative 1.11e-16",
+        "kind: run00/summary.txt: float fields only, largest absolute difference 1.11e-16, largest relative 2.22e-16",
+        "kind: run00/trace.csv: float fields only, largest absolute difference 5.55e-17, largest relative 2.22e-16",
+    ]
+
+
+@pytest.mark.parametrize("old, new, kind", [
+    # an accepted count
+    ("iteration,mse,accepted\n100,0.5,7\n", "iteration,mse,accepted\n100,0.5,8\n",
+     "integer field on line 2: 7 -> 8"),
+    # an iteration, beside a float that moved too
+    ("iteration,mse\n100,0.5\n", "iteration,mse\n101,0.5000000000000001\n",
+     "integer field on line 2: 100 -> 101"),
+    # a histogram row more
+    ("bin,count\n0.0,3\n", "bin,count\n0.0,3\n0.5,1\n", "row count 2 -> 3"),
+    # a value written another way
+    ("selection = sps\n", "selection = random\n", "non-numeric field on line 1: 'sps' -> 'random'"),
+    ("final_mse = 0.5\n", "final_mse = nan0\n", "non-numeric field on line 1: '0.5' -> 'nan0'"),
+    ("pixels = [1, 2]\n", "pixels = [1, 2, 3]\n",
+     "non-numeric field on line 1: 'pixels = [1, 2]' -> 'pixels = [1, 2, 3]'"),
+])
+def test_a_decision_difference_is_named(tmp_path, old, new, kind):
+    base = make_tree(tmp_path / "base", run_dir(**{"run00/trace.csv": old}))
+    change = make_tree(tmp_path / "change", run_dir(**{"run00/trace.csv": new}))
+    assert same_bytes.differences(base, change) == [f"kind: run00/trace.csv: {kind}", "differs: run00/trace.csv"]
 
 
 def test_a_wall_time_line_is_dropped_only_from_summaries(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import holosearch
 from holosearch import search
-from holosearch.field import dft2, idft2
+from holosearch.field import dft2, half_rows, idft2
 from holosearch.metrics import mse
 from holosearch.rng import STREAM_ACCEPTANCE, STREAM_PHASE, STREAM_SELECTION, substream
 from holosearch.search import (
@@ -640,14 +640,14 @@ def test_sa_default_schedule_at_zero_error_stays_greedy(monkeypatch):
 @pytest.mark.parametrize("algorithm", [ALGO_DS_FAST, ALGO_SA])
 def test_replay_refreshed_every_interval_accepts(algorithm, interval, monkeypatch):
     """Besides the set-up transform, the loop recomputes the replay from a
-    full transform once every recompute_interval accepts, and returns a
+    fresh transform once every recompute_interval accepts, and returns a
     replay that matches a fresh transform of its hologram."""
     calls = []
     inner = search.dft2
 
-    def counting(hologram):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return inner(hologram)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(search, "dft2", counting)
     res = run_search(small_target(), SearchConfig(
@@ -656,6 +656,35 @@ def test_replay_refreshed_every_interval_accepts(algorithm, interval, monkeypatc
     assert res.accepted >= 2 * interval
     assert len(calls) == 1 + res.accepted // interval
     assert np.max(np.abs(res.replay - inner(res.hologram))) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme, real", [("binary-phase", True), ("amplitude:5", True), ("phase:8", False)])
+def test_real_aperture_search_transforms_and_scores_only_leading_rows(scheme, real, monkeypatch):
+    """At set-up and at every refresh, a real aperture's search transforms
+    and scores the replay's leading half_rows rows only; a complex
+    aperture's, every row."""
+    height, width = 9, 12
+    shapes = {"dft2": [], "mse": []}
+    inner_dft2, inner_mse = search.dft2, search.mse
+
+    def dft2_shape(*args, **kwargs):
+        out = inner_dft2(*args, **kwargs)
+        shapes["dft2"].append(out.shape)
+        return out
+
+    def mse_shape(target, replay, **kwargs):
+        shapes["mse"].append(replay.shape)
+        return inner_mse(target, replay, **kwargs)
+
+    monkeypatch.setattr(search, "dft2", dft2_shape)
+    monkeypatch.setattr(search, "mse", mse_shape)
+    t = normalize_energy(TargetImage(np.random.default_rng(17).random((height, width)) + 0.05))
+    res = run_search(t, SearchConfig(iterations=200, scheme=ModulationScheme.from_name(scheme),
+                                     recompute_interval=3), seed=18)
+    assert res.accepted >= 6
+    rows = half_rows(height) if real else height
+    assert shapes["dft2"] == [(rows, width)] * (1 + res.accepted // 3)
+    assert set(shapes["mse"]) == {(rows, width)}
 
 
 @pytest.mark.parametrize("interval", [3, 50_000])

@@ -15,7 +15,13 @@ as ``runNN.stdout``, ``runNN.stderr`` and ``runNN.exit``.
 Every file is then compared byte for byte, except ``summary.txt``, which is
 compared with its ``wall_time_s`` line dropped. Each difference is printed,
 as a unified diff for summaries, stdout, stderr and exit codes; the exit
-status is 1 if anything differs.
+status is 1 if anything differs. Each text file that differs (CSVs,
+summaries, stdout, stderr, exit codes) also gets one line that says what
+kind of difference it is: float fields only, with the largest absolute and
+relative difference, or else the first integer field, row count or
+non-numeric field that differs. Only the first kind leaves every decision
+of a run (accepted counts, iterations, histogram counts, pixel indices)
+as it was.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -58,7 +65,12 @@ RUNS = (
 
 # Files compared as text, so a difference prints as a unified diff.
 TEXT_SUFFIXES = ("summary.txt", ".stdout", ".stderr", ".exit")
+# Files whose differences are also classified by kind (see kind_of_difference).
+CLASSIFIED_SUFFIXES = (".csv", *TEXT_SUFFIXES)
 WALL_TIME = b"wall_time_s = "
+# What separates the fields of a CSV row, a ``key = value`` line or a list.
+_SEPARATORS = re.compile(r"([\s,=\[\]()]+)")
+_INTEGER = re.compile(r"[-+]?\d+")
 
 
 def run_all(tree: str, work: str) -> None:
@@ -88,10 +100,50 @@ def _content(path: str) -> bytes:
     return data
 
 
+def _float(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def kind_of_difference(old: str, new: str) -> str:
+    """What kind of difference there is between two texts that differ.
+
+    The texts are compared line by line and, within a line, field by field,
+    fields being what :data:`_SEPARATORS` splits. Either every difference is
+    between two floats (written with a point, an exponent, or as nan or
+    inf): the result then names the largest absolute and relative
+    difference. Or the first other difference is named: a row count, an
+    integer field, or a non-numeric field (text, separators or a number of
+    fields)."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return f"row count {len(old_lines)} -> {len(new_lines)}"
+    largest_abs = largest_rel = 0.0
+    for number, (a_line, b_line) in enumerate(zip(old_lines, new_lines), 1):
+        a_fields, b_fields = _SEPARATORS.split(a_line), _SEPARATORS.split(b_line)
+        if len(a_fields) != len(b_fields):
+            return f"non-numeric field on line {number}: {a_line!r} -> {b_line!r}"
+        for a, b in zip(a_fields, b_fields):
+            if a == b:
+                continue
+            if _INTEGER.fullmatch(a) or _INTEGER.fullmatch(b):
+                return f"integer field on line {number}: {a} -> {b}"
+            x, y = _float(a), _float(b)
+            if x is None or y is None:
+                return f"non-numeric field on line {number}: {a!r} -> {b!r}"
+            gap = abs(x - y)
+            largest_abs = max(largest_abs, gap)
+            largest_rel = max(largest_rel, gap / max(abs(x), abs(y)) if gap else 0.0)
+    return f"float fields only, largest absolute difference {largest_abs:.3g}, largest relative {largest_rel:.3g}"
+
+
 def differences(base: str, change: str) -> list[str]:
     """How the files under ``change`` differ from those under ``base``, as
     printable lines; empty when every file matches (summary.txt without its
-    wall-time line)."""
+    wall-time line). Each text file that differs starts with a line
+    ``kind: NAME: ...`` from :func:`kind_of_difference`."""
     lines = []
     in_base, in_change = _files(base), _files(change)
     for name in sorted(in_base | in_change):
@@ -101,10 +153,13 @@ def differences(base: str, change: str) -> list[str]:
         old, new = _content(os.path.join(base, name)), _content(os.path.join(change, name))
         if old == new:
             continue
+        old_text, new_text = old.decode("utf-8", "replace"), new.decode("utf-8", "replace")
+        if name.endswith(CLASSIFIED_SUFFIXES):
+            lines.append(f"kind: {name}: {kind_of_difference(old_text, new_text)}")
         if name.endswith(TEXT_SUFFIXES):
             lines += [line.rstrip("\n") for line in difflib.unified_diff(
-                old.decode("utf-8", "replace").splitlines(), new.decode("utf-8", "replace").splitlines(),
-                f"base/{name}", f"change/{name}", n=0, lineterm="")]
+                old_text.splitlines(), new_text.splitlines(), f"base/{name}", f"change/{name}", n=0,
+                lineterm="")]
         else:
             lines.append(f"differs: {name}")
     return lines
