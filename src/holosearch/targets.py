@@ -118,13 +118,13 @@ def synthetic_mandrill(size: int) -> TargetImage:
     if size < 2:
         raise ValueError(f"size must be >= 2, got {size}")
     rng = np.random.default_rng(np.random.SeedSequence(_TEXTURE_SEED))
-    # The texture is Re(ifft2(S)) for the spectrum S = amp * phasors, which
+    # The texture is Re(ifft2(S)) for the spectrum S = amp * phasors, that
     # is the inverse real transform of S's Hermitian part
-    # H[v, u] = (S[v, u] + conj(S[-v, -u])) / 2, so only columns
-    # 0 .. size//2 of H are formed. The amplitude is symmetric, amp[-v, -u]
-    # == amp[v, u], and fftfreq is exactly antisymmetric, f[size - k] == -f[k],
-    # while hypot ignores signs: the amplitude is computed on rows and
-    # columns 0 .. size//2 and mirrored into the other rows.
+    # H[v, u] = (S[v, u] + conj(S[-v, -u])) / 2, of which only columns
+    # 0 .. size//2 are formed. amp[-v, -u] == amp[v, u]: fftfreq is exactly
+    # antisymmetric, f[size - k] == -f[k], and hypot ignores signs. So amp is
+    # computed on rows and columns 0 .. size//2, mirrored into the other
+    # rows, and carries the 1/2.
     h = size // 2 + 1
     fq = np.fft.fftfreq(size)[:h]
     amp = np.empty((size, h))

@@ -95,6 +95,8 @@ def test_float_digits_alone_are_told_apart(tmp_path):
     # a value written another way
     ("selection = sps\n", "selection = random\n", "non-numeric field on line 1: 'sps' -> 'random'"),
     ("final_mse = 0.5\n", "final_mse = nan0\n", "non-numeric field on line 1: '0.5' -> 'nan0'"),
+    ("final_mse = 0.5\n", "final_mse = nan\n", "non-finite float on line 1: 0.5 -> nan"),
+    ("pearson = inf\n", "pearson = -inf\n", "non-finite float on line 1: inf -> -inf"),
     ("pixels = [1, 2]\n", "pixels = [1, 2, 3]\n",
      "non-numeric field on line 1: 'pixels = [1, 2]' -> 'pixels = [1, 2, 3]'"),
 ])

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import math
 import os
 import re
 import shutil
@@ -112,11 +113,11 @@ def kind_of_difference(old: str, new: str) -> str:
 
     The texts are compared line by line and, within a line, field by field,
     fields being what :data:`_SEPARATORS` splits. Either every difference is
-    between two floats (written with a point, an exponent, or as nan or
-    inf): the result then names the largest absolute and relative
-    difference. Or the first other difference is named: a row count, an
-    integer field, or a non-numeric field (text, separators or a number of
-    fields)."""
+    between two finite floats (written with a point or an exponent): the
+    result then names the largest absolute and relative difference. Or the
+    first other difference is named: a row count, an integer field, a
+    non-numeric field (text, separators or a number of fields) or a float
+    that is or becomes nan or infinite."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
     if len(old_lines) != len(new_lines):
         return f"row count {len(old_lines)} -> {len(new_lines)}"
@@ -133,6 +134,8 @@ def kind_of_difference(old: str, new: str) -> str:
             x, y = _float(a), _float(b)
             if x is None or y is None:
                 return f"non-numeric field on line {number}: {a!r} -> {b!r}"
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return f"non-finite float on line {number}: {a} -> {b}"
             gap = abs(x - y)
             largest_abs = max(largest_abs, gap)
             largest_rel = max(largest_rel, gap / max(abs(x), abs(y)) if gap else 0.0)
