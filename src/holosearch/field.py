@@ -21,16 +21,93 @@ vectors, as one real matrix product per row tile and returns the move it
 added. A search rolls a rejected move back by passing it as the next call's
 ``undo``, so taking it out costs no pass of its own; :func:`revert` takes
 back a move that no later update will.
+
+The set-up kernels on a large grid (:func:`unit_phasors`, :func:`dft2`,
+:func:`idft2`, and through the same helper ``slm.quantise``,
+``slm.change_map`` and the synthetic texture) split their work into
+contiguous row blocks, one per usable core, on short-lived threads
+(:func:`_split_rows`). Every element is still computed by the same numpy
+call on the same values, so the bytes do not depend on the number of
+blocks; grids under ``2 * _MIN_BLOCK`` elements run on the calling thread
+alone. The search loop (:func:`delta_update`) is never split.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import mmap
+import os
+import threading
+from collections.abc import Callable
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+# Elements per block below which a kernel does not split: a kernel over N
+# elements runs in min(cores, N // _MIN_BLOCK) blocks. On a 2-core host a
+# second thread made the set-up of 256^2 and 512^2 grids slower and that of a
+# 1024^2 grid faster, so grids under 1024^2 run inline.
+_MIN_BLOCK = 1 << 19
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_count(rows: int, elements: int) -> int:
+    """Blocks :func:`_split_rows` cuts ``rows`` into for work on
+    ``elements`` elements: min(usable cores, ``elements // _MIN_BLOCK``,
+    rows), and at least 1."""
+    k = min(rows, elements // _MIN_BLOCK)
+    return min(k, _usable_cores()) if k > 1 else 1
+
+
+def _split_rows(rows: int, elements: int, fn: Callable[[slice], None]) -> None:
+    """Call ``fn(block)`` for contiguous slices that cover ``range(rows)``.
+
+    There are k = :func:`_block_count` blocks of near-equal size; for k = 1
+    this is the one call ``fn(slice(0, rows))``. Otherwise blocks 1 .. k-1
+    run on short-lived threads, each in a copy of the caller's context (so
+    numpy's error state carries over), and block 0 on the calling thread;
+    every thread is joined before this returns, and the exception of the
+    lowest-numbered block that raised is re-raised here.
+
+    ``fn`` must write its results into arrays the caller allocated (numpy
+    releases the interpreter lock there, so blocks run in parallel), keep its
+    temporaries to a tile, and call only numpy: no function that splits work
+    itself and nothing a profiler may have wrapped.
+    """
+    k = _block_count(rows, elements)
+    if k == 1:
+        fn(slice(0, rows))
+        return
+    bounds = [rows * i // k for i in range(k + 1)]
+    errors: list[BaseException | None] = [None] * k
+
+    def run(i: int) -> None:
+        try:
+            fn(slice(bounds[i], bounds[i + 1]))
+        except BaseException as exc:  # re-raised on the calling thread
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, k):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+            thread.start()
+            started.append(thread)
+        fn(slice(0, bounds[1]))
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def as_field(data) -> np.ndarray:
@@ -73,11 +150,18 @@ def unit_phasors(theta) -> np.ndarray:
     angle; that holds per numpy build and is pinned by a test there. As from
     ``np.exp``, a scalar angle gives a numpy scalar.
     """
-    z = np.empty(np.shape(theta), dtype=np.complex128)
+    theta = np.asarray(theta)
+    z = np.empty(theta.shape, dtype=np.complex128)
+    src, dst = theta.reshape(-1), z.reshape(-1)
+    _split_rows(src.size, src.size, lambda block: _phasors_into(src[block], dst[block]))
+    return z if z.ndim else z[()]
+
+
+def _phasors_into(theta: np.ndarray, z: np.ndarray) -> None:
+    """Write :func:`unit_phasors` of ``theta`` into ``z``, on this thread."""
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     z.imag += 0.0
-    return z if z.ndim else z[()]
 
 
 def dft2(f, rows: int | None = None) -> np.ndarray:
@@ -97,17 +181,55 @@ def dft2(f, rows: int | None = None) -> np.ndarray:
     """
     field = as_field(f)
     if rows is None:
-        return np.fft.fft2(field, norm="ortho")
-    if not 1 <= rows <= half_rows(field.shape[0]):
-        raise ValueError(f"rows must be 1 .. {half_rows(field.shape[0])}, got {rows}")
+        return _fft2(np.fft.fft, field)
+    ny, nx = field.shape
+    if not 1 <= rows <= half_rows(ny):
+        raise ValueError(f"rows must be 1 .. {half_rows(ny)}, got {rows}")
     if field.imag.any():
         raise ValueError("the leading rows alone are computed only for a real field")
-    return np.fft.rfftn(field.real, axes=(1, 0), norm="ortho")[:rows]
+    # rfftn(axes=(1, 0))'s passes: a real FFT down the columns, then an FFT
+    # along the rows, of which only the leading ones are kept.
+    columns = np.empty((half_rows(ny), nx), dtype=np.complex128)
+    _fft_pass(np.fft.rfft, field.real, columns, 0, field.size, norm="ortho")
+    out = np.empty((rows, nx), dtype=np.complex128)
+    _fft_pass(np.fft.fft, columns[:rows], out, 1, field.size, norm="ortho")
+    return out
 
 
 def idft2(f) -> np.ndarray:
     """Unitary inverse 2D DFT of a field (replay plane -> aperture plane)."""
-    return np.fft.ifft2(as_field(f), norm="ortho")
+    return _fft2(np.fft.ifft, as_field(f))
+
+
+def _fft2(transform, field: np.ndarray) -> np.ndarray:
+    """``fft2``/``ifft2`` (as ``transform``) of a field, unitary, in numpy's
+    own two passes: along the rows, then down the columns. Each pass's
+    result is allocated after the pass before, as numpy allocates them: the
+    order of multi-MiB allocations decides how many fresh pages the set-up
+    touches."""
+    rows = np.empty_like(field)
+    _fft_pass(transform, field, rows, 1, field.size, norm="ortho")
+    out = np.empty_like(field)
+    _fft_pass(transform, rows, out, 0, field.size, norm="ortho")
+    return out
+
+
+def _fft_pass(transform, src: np.ndarray, out: np.ndarray, axis: int, elements: int, **kwargs) -> None:
+    """``transform(src, axis=axis, out=out, **kwargs)`` for 2D arrays, in
+    blocks of the other axis (:func:`_split_rows`, sized by ``elements``).
+
+    numpy transforms each line along ``axis`` by itself, so the blocks give
+    the bytes of one call. The plan for the line length is made first, on
+    this thread: numpy's pocketfft is built single-threaded and keeps its
+    plans in a cache without a lock, so the blocks must only read it.
+    """
+    transform(np.zeros(src.shape[axis], dtype=src.dtype), **kwargs)
+
+    def block(lines: slice) -> None:
+        index = (slice(None), lines) if axis == 0 else (lines, slice(None))
+        transform(src[index], axis=axis, out=out[index], **kwargs)
+
+    _split_rows(src.shape[1 - axis], elements, block)
 
 
 def half_rows(height: int) -> int:

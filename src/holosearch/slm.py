@@ -11,6 +11,10 @@ and for amplitude schemes to clamping the real part.
 Level values are produced by a single table per scheme (see
 :func:`phase_levels` / :func:`amplitude_levels`) so quantisation, proposals,
 and conformance checks agree bit-for-bit.
+
+:func:`quantise` and :func:`change_map` split a large grid over the usable
+cores (``field._split_rows``), one tile at a time, with the same bytes as
+one call; below the split floor they make that one call.
 """
 
 from __future__ import annotations
@@ -21,10 +25,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import unit_phasors
+from .field import _block_count, _phasors_into, _split_rows
 
 PHASE = "phase"
 AMPLITUDE = "amplitude"
+
+# Elements per tile of a split quantise or change_map (64 KiB of float64): a
+# block loops over its tiles, so no temporary outgrows one tile.
+_TILE = 8192
 
 # Unit-magnitude tolerance for continuous-phase conformance checks: projection
 # onto the circle is exact only to the last bit (see is_allowed).
@@ -127,6 +135,17 @@ def amplitude_levels(n: int) -> np.ndarray:
     return lv
 
 
+def _split_tiles(elements: int, fn) -> None:
+    """Call ``fn(tile)`` for slices of at most ``_TILE`` elements that cover
+    ``range(elements)``, grouped into the blocks of ``field._split_rows``."""
+
+    def block(rows: slice) -> None:
+        for start in range(rows.start, rows.stop, _TILE):
+            fn(slice(start, min(start + _TILE, rows.stop)))
+
+    _split_rows(elements, elements, block)
+
+
 def _phase_index(values: np.ndarray, n: int) -> np.ndarray:
     """Nearest phase-level index for each value, exact ties to the lower index.
 
@@ -178,11 +197,28 @@ def quantise(f, scheme: ModulationScheme) -> np.ndarray:
     array_like, scalars included (returned as numpy complex128 scalars).
     """
     arr = np.asarray(f, dtype=np.complex128)
+    if _block_count(arr.size, arr.size) == 1:
+        return _nearest(arr, scheme)
+    out = np.empty(arr.shape, dtype=np.complex128)
+    src, dst = arr.reshape(-1), out.reshape(-1)
+
+    def tile(s: slice) -> None:
+        dst[s] = _nearest(src[s], scheme)
+
+    _split_tiles(src.size, tile)
+    return out
+
+
+def _nearest(arr: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
+    """:func:`quantise` of a complex128 array, as one call on this thread."""
     if scheme.kind == PHASE:
         if scheme.levels is None:
             # arctan2 is np.angle's formula; the real part plus 0.0 gives a
             # zero of either sign angle 0, as in _phase_index.
-            return unit_phasors(np.arctan2(arr.imag, arr.real + 0.0))
+            theta = np.arctan2(arr.imag, arr.real + 0.0)
+            z = np.empty(theta.shape, dtype=np.complex128)
+            _phasors_into(theta, z)
+            return z if z.ndim else z[()]
         return phase_levels(scheme.levels)[_phase_index(arr, scheme.levels)]
     if scheme.levels is None:
         return np.clip(arr.real, 0.0, 1.0) + 0j
@@ -199,7 +235,12 @@ def change_map(original, quantised) -> np.ndarray:
     b = np.asarray(quantised, dtype=np.complex128)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return np.abs(b - a)
+    if _block_count(a.size, a.size) == 1:
+        return np.abs(b - a)
+    out = np.empty(a.shape)
+    fa, fb, dst = a.reshape(-1), b.reshape(-1), out.reshape(-1)
+    _split_tiles(dst.size, lambda s: np.abs(fb[s] - fa[s], out=dst[s]))
+    return out
 
 
 def propose_value(current: complex, scheme: ModulationScheme, rng: np.random.Generator) -> complex:

@@ -9,6 +9,10 @@ resolutions and images.
 Two deterministic synthetic targets are built in: a textured stand-in with a
 natural-image-like falling amplitude spectrum, and a three-bar resolution
 chart. Both depend only on the requested size.
+
+The texture's inverse transform and its rescale run in the row blocks of
+``field._split_rows``, so a large texture is split over the usable cores;
+its bytes do not depend on the number of blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import unit_phasors
+from .field import _fft_pass, _split_rows, unit_phasors
 
 # Fixed generator seed for the synthetic texture; part of what makes builtin
 # targets byte-identical run to run on one numpy build and CPU. Across builds
@@ -143,10 +147,30 @@ def synthetic_mandrill(size: int) -> TargetImage:
     np.conjugate(herm, out=herm)
     herm += phasors[:, :h]
     herm *= amp
-    tex = np.fft.irfft2(herm, s=(size, size))
-    lo, hi = tex.min(), tex.max()
-    tex = (tex - lo) / (hi - lo)
-    tex = np.clip(1.3 * (tex - 0.5) + 0.5, 0.0, 1.0) ** 2.2
+    # irfft2's passes: an inverse FFT down the columns, then an inverse real
+    # FFT along the rows.
+    columns = np.empty_like(herm)
+    _fft_pass(np.fft.ifft, herm, columns, 0, size * size)
+    tex = np.empty((size, size))
+    _fft_pass(np.fft.irfft, columns, tex, 1, size * size, n=size)
+    flat = tex.reshape(-1)
+    extremes = []
+    _split_rows(flat.size, flat.size, lambda block: extremes.append((flat[block].min(), flat[block].max())))
+    lo = min(e[0] for e in extremes)
+    span = max(e[1] for e in extremes) - lo
+
+    def rescale(block: slice) -> None:
+        # (tex - lo) / span, then clip(1.3 * (tex - 0.5) + 0.5, 0, 1) ** 2.2
+        t = flat[block]
+        t -= lo
+        t /= span
+        t -= 0.5
+        t *= 1.3
+        t += 0.5
+        np.clip(t, 0.0, 1.0, out=t)
+        np.power(t, 2.2, out=t)
+
+    _split_rows(flat.size, flat.size, rescale)
     return TargetImage(tex)
 
 

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import holosearch
+from holosearch import field
 from holosearch.cli import _OPTIONS, _SUBCOMMANDS, build_parser, config_from_args, main, parse_config_file
-from holosearch.experiments import ExperimentConfig
+from holosearch.experiments import ExperimentConfig, run_render
 from holosearch.pgm import load_pgm
+from holosearch.slm import ModulationScheme
 
 
 def run_cli(args):
@@ -55,6 +57,23 @@ def test_output_bytes_do_not_follow_blas_threads(tmp_path):
         written[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "summary.txt"}
     assert sorted(written[None]) == ["replay_random.pgm", "replay_sps.pgm", "trace_random.csv", "trace_sps.csv"]
     assert written[None] == written["1"]
+
+
+@pytest.mark.parametrize("scheme", ["binary-phase", "phase:cont"])
+def test_output_bytes_do_not_follow_the_core_count(tmp_path, monkeypatch, scheme):
+    """The set-up kernels split their rows over the usable cores, so a
+    render on one core writes what a render on three writes. At 128^2 the
+    grid is under the split floor, so the floor is lowered to split it."""
+    monkeypatch.setattr(field, "_MIN_BLOCK", 1024)
+    written = {}
+    for cores in (1, 3):
+        monkeypatch.setattr(field, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores-{cores}"
+        run_render(ExperimentConfig(resolution=128, iterations=500, selection="sps",
+                                    scheme=ModulationScheme.from_name(scheme), out_dir=str(out)))
+        written[cores] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "summary.txt"}
+    assert sorted(written[1]) == ["hologram.pgm", "replay.pgm", "trace.csv"]
+    assert written[1] == written[3]
 
 
 def test_scatter_end_to_end(tmp_path, capsys):

@@ -2,11 +2,14 @@
 render, and the artifact files they write."""
 
 import dataclasses
+import hashlib
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from holosearch import field
 from holosearch.experiments import (
     HISTOGRAM_BINS,
     HISTOGRAM_HEADER,
@@ -25,7 +28,7 @@ from holosearch.experiments import (
 from holosearch.field import dft2, idft2
 from holosearch.metrics import mse
 from holosearch.pgm import CLAMP_UNIT, load_pgm, save_pgm
-from holosearch.search import SearchConfig
+from holosearch.search import SearchConfig, run_search
 from holosearch.slm import ModulationScheme, quantise
 from holosearch.targets import TargetImage, synthetic_mandrill
 
@@ -368,3 +371,46 @@ def test_run_render_replay_golden_digest(tmp_path):
     digest = hashlib.sha256(raw).hexdigest()
     assert digest == ("b098501e84501d7766671aba0f62de70"
                       "97427eb23c547fe08c4f996ccbce753b")
+
+
+# ------------------------------------------------------------ fork safety
+
+
+def _set_up_digest() -> str:
+    """sha256 of a 1024^2 set-up: the prepared target, then the hologram and
+    replay of a zero-iteration sps search on it."""
+    config = ExperimentConfig(resolution=1024, iterations=0, selection="sps")
+    target = prepare_target(config)
+    result = run_search(target, config.search_config(), config.seed)
+    digest = hashlib.sha256()
+    for arr in (target.mag, result.hologram, result.replay):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def _send_set_up_digest(conn) -> None:
+    conn.send(_set_up_digest())
+    conn.close()
+
+
+def test_split_set_up_runs_in_a_forked_child(monkeypatch):
+    """The set-up kernels start and join their own threads, so a process
+    forked after a split set-up holds no thread or lock of it: the child
+    repeats the set-up, splitting it again, and gets the parent's bytes."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    want = _set_up_digest()
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_set_up_digest, args=(sender,))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(120), "the forked child sent nothing within 120 s"
+        got = receiver.recv()
+    finally:
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert got == want

@@ -4,13 +4,16 @@ The DFT oracle here is the literal quadruple loop over the defining sum,
 kept deliberately slow and independent of any FFT library.
 """
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holosearch import field, slm
 from holosearch.field import (
     as_field,
     delta_update,
@@ -21,6 +24,8 @@ from holosearch.field import (
     revert,
     unit_phasors,
 )
+from holosearch.slm import ModulationScheme, change_map, quantise
+from holosearch.targets import synthetic_mandrill
 
 
 def dft2_loop(field):
@@ -378,3 +383,129 @@ def test_fill_mirror_completes_real_aperture_replay(shape):
     fill_mirror(filled, rows)
     assert np.array_equal(filled[:rows], replay[:rows])
     assert np.max(np.abs(filled - replay)) < 1e-12
+
+
+# ------------------------------------------------------------- row blocks
+
+SCHEMES = [ModulationScheme.from_name(name) for name in (
+    "binary-phase", "binary-amplitude", "phase:3", "phase:8", "amplitude:5", "phase:cont", "amplitude:cont")]
+
+
+@contextlib.contextmanager
+def forced_blocks(k, tile=None):
+    """Split every kernel into min(k, rows) blocks, whatever the grid size
+    and the host, and quantise/change_map into tiles of ``tile`` elements."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_usable_cores", lambda: k)
+        mp.setattr(field, "_MIN_BLOCK", 1)
+        if tile is not None:
+            mp.setattr(slm, "_TILE", tile)
+        yield
+
+
+def split_kernel_outputs(f, theta, real, size):
+    """What every kernel that splits its work returns for these inputs."""
+    rows = half_rows(real.shape[0])
+    out = {
+        "unit_phasors": unit_phasors(theta),
+        "unit_phasors 1-D": unit_phasors(theta[0]),
+        "unit_phasors 0-d": unit_phasors(theta[0, 0]),
+        "dft2": dft2(f),
+        "idft2": idft2(f),
+        "dft2 rows": dft2(real, rows=rows),
+        "dft2 one row": dft2(real, rows=1),
+        "texture": synthetic_mandrill(size).mag,
+    }
+    for scheme in SCHEMES:
+        for label, x in (("2-D", f), ("1-D", f[-1]), ("0-d", f[0, 0])):
+            q = quantise(x, scheme)
+            out[f"quantise {scheme.name} {label}"] = q
+            out[f"change_map {scheme.name} {label}"] = change_map(x, q)
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(height=st.integers(2, 40), width=st.integers(2, 40), size=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
+    """Each kernel gives the same bytes in 1, 2, 3 and 5 blocks (capped at
+    its row count), with quantise and change_map also cut into 3-element
+    tiles, for odd and even shapes. Zeros of both signs and exact phase ties
+    are among the quantised values. dft2(rows=) stays the leading rows of
+    the whole transform in every block count."""
+    rng = np.random.default_rng(seed)
+    f = 2 * (rng.standard_normal((height, width)) + 1j * rng.standard_normal((height, width)))
+    special = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 1j, -1 - 1j, 0.5, 1j, -1.0]
+    f.ravel()[:len(special)] = special[:f.size]
+    theta = rng.uniform(-8.0, 8.0, (height, width))
+    real = rng.standard_normal((height, width))
+    with forced_blocks(1):
+        want = split_kernel_outputs(f, theta, real, size)
+    bound = 1e-12 * np.linalg.norm(real)
+    for k in (2, 3, 5):
+        with forced_blocks(k, tile=3):
+            got = split_kernel_outputs(f, theta, real, size)
+            leading = dft2(real, rows=half_rows(height))
+            full = dft2(real)
+        for name in want:
+            assert same_bytes(got[name], want[name]), (k, name)
+            assert type(got[name]) is type(want[name]), (k, name)
+        assert np.max(np.abs(leading - full[:half_rows(height)])) <= bound
+
+
+def test_split_rows_reraises_the_first_exception_of_a_worker_block(monkeypatch):
+    monkeypatch.setattr(field, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(field, "_MIN_BLOCK", 1)
+    baseline = threading.active_count()
+    seen = []
+
+    def fn(block):
+        seen.append((block.start, block.stop))
+        if block.start > 0:
+            raise ZeroDivisionError(f"block from {block.start}")
+
+    with pytest.raises(ZeroDivisionError, match="block from 3"):
+        field._split_rows(9, 9, fn)
+    assert sorted(seen) == [(0, 3), (3, 6), (6, 9)]
+    assert threading.active_count() == baseline
+
+
+def test_split_rows_blocks_keep_the_callers_numpy_error_state(monkeypatch):
+    """A worker block runs under the caller's np.errstate, as block 0 does."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_MIN_BLOCK", 1)
+
+    def fn(block):
+        if block.start > 0:
+            np.divide(np.ones(1), np.zeros(1))
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        field._split_rows(2, 2, fn)
+
+
+def test_split_rows_runs_small_work_inline(monkeypatch):
+    """Below two minimum blocks the one block runs on the calling thread."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 8)
+    threads = []
+    n = 2 * field._MIN_BLOCK - 1
+    field._split_rows(n, n, lambda block: threads.append((threading.current_thread(), block)))
+    assert threads == [(threading.current_thread(), slice(0, n))]
+
+
+def test_split_kernels_leave_no_thread_behind(monkeypatch):
+    """After every split call, one that raised included, the process has
+    the threads it had before."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(field, "_MIN_BLOCK", 1)
+    baseline = threading.active_count()
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
+    calls = [lambda: unit_phasors(f.real), lambda: dft2(f), lambda: idft2(f),
+             lambda: dft2(f.real, rows=7), lambda: synthetic_mandrill(12)]
+    calls += [lambda s=s: change_map(f, quantise(f, s)) for s in SCHEMES]
+    for call in calls:
+        call()
+        assert threading.active_count() == baseline
+    with pytest.raises(ValueError):
+        field._split_rows(12, 12, lambda block: int("not a number"))
+    assert threading.active_count() == baseline

@@ -60,6 +60,9 @@ RUNS = (
     ("scatter", "--resolution", "64", "--scheme", "phase:8"),
     ("hist", "--resolution", "64"),
     ("hist", "--resolution", "64", "--scheme", "phase:5"),
+    # large enough that the set-up kernels split their rows over the cores
+    ("render", "--resolution", "1024", "--selection", "sps", "--iterations", "200"),
+    ("hist", "--resolution", "1024", "--scheme", "phase:cont"),
     # fails: a custom schedule needs both --t-coeff and --t0
     ("run-ab", "--resolution", "64", "--algorithm", "sa", "--t0", "3"),
 )
