@@ -28,8 +28,10 @@ The set-up kernels on a large grid (:func:`unit_phasors`, :func:`dft2`,
 contiguous row blocks, one per usable core, on short-lived threads
 (:func:`_split_rows`). Every element is still computed by the same numpy
 call on the same values, so the bytes do not depend on the number of
-blocks; grids under ``2 * _MIN_BLOCK`` elements run on the calling thread
-alone. The search loop (:func:`delta_update`) is never split.
+blocks; grids under ``2 * _MIN_BLOCK`` elements make one plain numpy call
+per kernel on the calling thread. The split transforms write through
+``out=``, which ``numpy.fft`` takes from numpy 2.0 on. The search loop
+(:func:`delta_update`) is never split.
 """
 
 from __future__ import annotations
@@ -73,9 +75,10 @@ def _split_rows(rows: int, elements: int, fn: Callable[[slice], None]) -> None:
     There are k = :func:`_block_count` blocks of near-equal size; for k = 1
     this is the one call ``fn(slice(0, rows))``. Otherwise blocks 1 .. k-1
     run on short-lived threads, each in a copy of the caller's context (so
-    numpy's error state carries over), and block 0 on the calling thread;
-    every thread is joined before this returns, and the exception of the
-    lowest-numbered block that raised is re-raised here.
+    numpy's error state carries over), and block 0 on the calling thread. A
+    block whose thread cannot be started runs on the calling thread, and so
+    do the blocks after it. Every thread is joined before this returns, and
+    the exception of the lowest-numbered block that raised is re-raised here.
 
     ``fn`` must write its results into arrays the caller allocated (numpy
     releases the interpreter lock there, so blocks run in parallel), keep its
@@ -95,15 +98,19 @@ def _split_rows(rows: int, elements: int, fn: Callable[[slice], None]) -> None:
         except BaseException as exc:  # re-raised on the calling thread
             errors[i] = exc
 
-    started = []
-    try:
-        for i in range(1, k):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+    threads = []
+    for i in range(1, k):
+        thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+        try:
             thread.start()
-            started.append(thread)
-        fn(slice(0, bounds[1]))
+        except RuntimeError:  # no thread to spare: the blocks left run here
+            break
+        threads.append(thread)
+    try:
+        for i in (0, *range(len(threads) + 1, k)):
+            run(i)
     finally:
-        for thread in started:
+        for thread in threads:
             thread.join()
     for exc in errors:
         if exc is not None:
@@ -180,13 +187,16 @@ def dft2(f, rows: int | None = None) -> np.ndarray:
         ``rows`` is outside that range.
     """
     field = as_field(f)
+    split = _block_count(min(field.shape), field.size) > 1
     if rows is None:
-        return _fft2(np.fft.fft, field)
+        return _fft2(np.fft.fft, field) if split else np.fft.fft2(field, norm="ortho")
     ny, nx = field.shape
     if not 1 <= rows <= half_rows(ny):
         raise ValueError(f"rows must be 1 .. {half_rows(ny)}, got {rows}")
     if field.imag.any():
         raise ValueError("the leading rows alone are computed only for a real field")
+    if not split:
+        return np.fft.rfftn(field.real, axes=(1, 0), norm="ortho")[:rows]
     # rfftn(axes=(1, 0))'s passes: a real FFT down the columns, then an FFT
     # along the rows, of which only the leading ones are kept.
     columns = np.empty((half_rows(ny), nx), dtype=np.complex128)
@@ -198,7 +208,10 @@ def dft2(f, rows: int | None = None) -> np.ndarray:
 
 def idft2(f) -> np.ndarray:
     """Unitary inverse 2D DFT of a field (replay plane -> aperture plane)."""
-    return _fft2(np.fft.ifft, as_field(f))
+    field = as_field(f)
+    if _block_count(min(field.shape), field.size) > 1:
+        return _fft2(np.fft.ifft, field)
+    return np.fft.ifft2(field, norm="ortho")
 
 
 def _fft2(transform, field: np.ndarray) -> np.ndarray:
@@ -219,17 +232,20 @@ def _fft_pass(transform, src: np.ndarray, out: np.ndarray, axis: int, elements: 
     blocks of the other axis (:func:`_split_rows`, sized by ``elements``).
 
     numpy transforms each line along ``axis`` by itself, so the blocks give
-    the bytes of one call. The plan for the line length is made first, on
-    this thread: numpy's pocketfft is built single-threaded and keeps its
-    plans in a cache without a lock, so the blocks must only read it.
+    the bytes of one call. Before a split, the plan for the line length is
+    made on this thread: numpy's pocketfft is built single-threaded and
+    keeps its plans in a cache without a lock, so the blocks must only read
+    it. ``out=`` on ``numpy.fft`` needs numpy 2.0.
     """
-    transform(np.zeros(src.shape[axis], dtype=src.dtype), **kwargs)
+    lines = src.shape[1 - axis]
+    if _block_count(lines, elements) > 1:
+        transform(np.zeros(src.shape[axis], dtype=src.dtype), **kwargs)
 
-    def block(lines: slice) -> None:
-        index = (slice(None), lines) if axis == 0 else (lines, slice(None))
+    def block(part: slice) -> None:
+        index = (slice(None), part) if axis == 0 else (part, slice(None))
         transform(src[index], axis=axis, out=out[index], **kwargs)
 
-    _split_rows(src.shape[1 - axis], elements, block)
+    _split_rows(lines, elements, block)
 
 
 def half_rows(height: int) -> int:

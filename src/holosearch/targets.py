@@ -10,9 +10,10 @@ Two deterministic synthetic targets are built in: a textured stand-in with a
 natural-image-like falling amplitude spectrum, and a three-bar resolution
 chart. Both depend only on the requested size.
 
-The texture's inverse transform and its rescale run in the row blocks of
-``field._split_rows``, so a large texture is split over the usable cores;
-its bytes do not depend on the number of blocks.
+A texture large enough to split has its inverse transform and its rescale
+run in the row blocks of ``field._split_rows``, over the usable cores; a
+smaller one makes numpy's one ``irfft2`` call. Its bytes do not depend on
+the number of blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import _fft_pass, _split_rows, unit_phasors
+from .field import _block_count, _fft_pass, _split_rows, unit_phasors
 
 # Fixed generator seed for the synthetic texture; part of what makes builtin
 # targets byte-identical run to run on one numpy build and CPU. Across builds
@@ -147,12 +148,15 @@ def synthetic_mandrill(size: int) -> TargetImage:
     np.conjugate(herm, out=herm)
     herm += phasors[:, :h]
     herm *= amp
-    # irfft2's passes: an inverse FFT down the columns, then an inverse real
-    # FFT along the rows.
-    columns = np.empty_like(herm)
-    _fft_pass(np.fft.ifft, herm, columns, 0, size * size)
-    tex = np.empty((size, size))
-    _fft_pass(np.fft.irfft, columns, tex, 1, size * size, n=size)
+    if _block_count(size, size * size) > 1:
+        # irfft2's passes: an inverse FFT down the columns, then an inverse
+        # real FFT along the rows.
+        columns = np.empty_like(herm)
+        _fft_pass(np.fft.ifft, herm, columns, 0, size * size)
+        tex = np.empty((size, size))
+        _fft_pass(np.fft.irfft, columns, tex, 1, size * size, n=size)
+    else:
+        tex = np.fft.irfft2(herm, s=(size, size))
     flat = tex.reshape(-1)
     extremes = []
     _split_rows(flat.size, flat.size, lambda block: extremes.append((flat[block].min(), flat[block].max())))

@@ -509,3 +509,35 @@ def test_split_kernels_leave_no_thread_behind(monkeypatch):
     with pytest.raises(ValueError):
         field._split_rows(12, 12, lambda block: int("not a number"))
     assert threading.active_count() == baseline
+
+
+def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
+    """A block whose thread cannot be started runs on the calling thread,
+    and so do the blocks after it, even if a later thread could start; a
+    kernel split that way keeps its bytes."""
+    rng = np.random.default_rng(8)
+    f = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
+    with forced_blocks(1):
+        want = dft2(f)
+    start = threading.Thread.start
+    started = []
+    calls = []
+
+    def start_but_the_second(thread):
+        calls.append(thread)
+        if len(calls) % 3 == 2:
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_but_the_second)
+    caller = threading.current_thread()
+    baseline = threading.active_count()
+    with forced_blocks(4):
+        where = {}
+        field._split_rows(8, 8, lambda block: where.setdefault(block.start, threading.current_thread()))
+        assert sorted(where) == [0, 2, 4, 6]
+        assert where[2] is started[0] and caller is where[0] is where[4] is where[6]
+        calls.clear()
+        assert same_bytes(dft2(f), want)
+    assert threading.active_count() == baseline
