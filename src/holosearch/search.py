@@ -13,18 +13,20 @@ variants differ only in two policies:
   how much quantisation moved them (largest change first), served by
   iteration number and repeated pass after pass.
 
-Scoring uses an O(N) single-pixel replay update rather than a full transform,
-and scores every candidate from the aperture energy:
+Scoring uses an O(N) single-pixel replay update rather than a full transform.
+Every error a fast search reports, each candidate's and those of the set-up
+and every refresh, comes from the aperture energy:
 ``N * mse = E - 2 * sum(|R| * T) + sum(T^2)``, with E moved in O(1) per
-candidate. For a real aperture (binary phase and every amplitude scheme) the
-replay is Hermitian, so the search transforms (with a real-input FFT),
-updates and scores only its leading ``Ny//2 + 1`` rows, against the folded
-target, and mirror-fills the rest once at the end; complex apertures use the
-whole grid. A rejected candidate is rolled back inside the next candidate's
-update (``delta_update(..., undo=)``), and one still pending when the loop
-ends is reverted before the replay is returned. ``ds-naive`` runs the
-mathematically identical full-transform path in a loop of its own and exists
-to cross-check the fast one decision-for-decision.
+candidate; the direct form ``mean((|T| - |R|)^2)`` is the reference that
+``ds-naive`` and the tests score with. For a real aperture (binary phase and
+every amplitude scheme) the replay is Hermitian, so the search transforms
+(with a real-input FFT), updates and scores only its leading ``Ny//2 + 1``
+rows, against the folded target, and mirror-fills the rest once at the end;
+complex apertures use the whole grid. A rejected candidate is rolled back
+inside the next candidate's update (``delta_update(..., undo=)``), and one
+still pending when the loop ends is reverted before the replay is returned.
+``ds-naive`` runs the mathematically identical full-transform path in a loop
+of its own and exists to cross-check the fast one decision-for-decision.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import delta_update, dft2, fill_mirror, half_rows, idft2, revert, unit_phasors
-from .metrics import ConvergenceTrace, FoldedTarget, fold_target, mse
+from .metrics import ConvergenceTrace, fold_target, mse
 from .rng import (
     STREAM_ACCEPTANCE,
     STREAM_PHASE,
@@ -274,13 +276,6 @@ def _transform(hologram: np.ndarray, real: bool, replay: np.ndarray | None = Non
     return replay
 
 
-def _fresh_error(scored: FoldedTarget, leading: np.ndarray, energy: float, real: bool) -> float:
-    """The error of a freshly transformed replay: in the energy form over
-    the leading rows for a real aperture, as the loop scores candidates, and
-    from the whole grid's magnitudes for a complex one."""
-    return mse(scored, leading, energy=energy) if real else mse(scored.folded, leading)
-
-
 def _start(target: TargetImage, config: SearchConfig, seed: int,
            real: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Set-up shared by every algorithm: the quantised random-phase
@@ -319,16 +314,16 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     proposal_rng = substream(seed, STREAM_PROPOSAL)
     accept_rng = substream(seed, STREAM_ACCEPTANCE)
 
-    # Candidates are scored from the aperture energy and the replay's leading
-    # rows: all of them for a complex aperture, the Hermitian half for a real
-    # one (against the folded target). Only those rows are ever transformed,
-    # and a fresh real replay is scored the same way.
+    # Every error here, candidate, set-up or refresh, is scored from the
+    # aperture energy and the replay's leading rows: all of them for a
+    # complex aperture, the Hermitian half for a real one (against the folded
+    # target). Only those rows are ever transformed.
     height, width = target.shape
     rows = half_rows(height) if real else height
     scored = fold_target(target.mag, real)
     energy = _energy(hologram)
     leading = replay[:rows]
-    current_mse = initial_mse = _fresh_error(scored, leading, energy, real)
+    current_mse = initial_mse = mse(scored, leading, energy=energy)
 
     annealing = config.algorithm == ALGO_SA
     t_coeff, t0 = config.t_coeff, config.t0
@@ -365,7 +360,7 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
                 replay = _transform(hologram, real, replay)
                 leading = replay[:rows]
                 energy = _energy(hologram)
-                current_mse = _fresh_error(scored, leading, energy, real)
+                current_mse = mse(scored, leading, energy=energy)
 
         if it % config.trace_stride == 0 or it == config.iterations:
             trace.append(it, current_mse, accepted)

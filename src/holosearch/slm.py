@@ -137,12 +137,11 @@ def amplitude_levels(n: int) -> np.ndarray:
 
 
 def _split_tiles(fn, *arrays: np.ndarray, dtype) -> np.ndarray:
-    """``fn(*arrays)``, for ``fn`` elementwise over same-shape arrays and
-    taking ``out=`` as a ufunc does: below the split floor the one call; on
-    a split, a new ``dtype`` array that ``fn`` fills through ``out=`` from
-    flat tiles of at most ``_TILE`` elements, in the blocks of
-    ``field._split_rows``. Tiling every grid raised the peak RSS of a 512^2
-    A/B run by 2 MiB."""
+    """``fn(*arrays)``, for ``fn`` elementwise over same-shape arrays:
+    below the split floor the one call; on a split, a new ``dtype`` array
+    filled with ``fn``'s result for each flat tile of at most ``_TILE``
+    elements, in the blocks of ``field._split_rows``. Tiling every grid
+    raised the peak RSS of a 512^2 A/B run by 2 MiB."""
     size = arrays[0].size
     if _block_count(size, size) == 1:
         return fn(*arrays)
@@ -152,7 +151,7 @@ def _split_tiles(fn, *arrays: np.ndarray, dtype) -> np.ndarray:
     def block(rows: slice) -> None:
         for start in range(rows.start, rows.stop, _TILE):
             tile = slice(start, min(start + _TILE, rows.stop))
-            fn(*(a[tile] for a in flats), out=dst[tile])
+            dst[tile] = fn(*(a[tile] for a in flats))
 
     _split_rows(size, size, block)
     return out
@@ -209,13 +208,7 @@ def quantise(f, scheme: ModulationScheme) -> np.ndarray:
     array_like, scalars included (returned as numpy complex128 scalars).
     """
     arr = np.asarray(f, dtype=np.complex128)
-
-    def nearest(x, out=None):
-        if out is None:
-            return _nearest(x, scheme)
-        out[:] = _nearest(x, scheme)
-
-    return _split_tiles(nearest, arr, dtype=np.complex128)
+    return _split_tiles(lambda x: _nearest(x, scheme), arr, dtype=np.complex128)
 
 
 def _nearest(arr: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
@@ -244,7 +237,7 @@ def change_map(original, quantised) -> np.ndarray:
     b = np.asarray(quantised, dtype=np.complex128)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return _split_tiles(lambda x, y, out=None: np.abs(y - x, out=out), a, b, dtype=np.float64)
+    return _split_tiles(lambda x, y: np.abs(y - x), a, b, dtype=np.float64)
 
 
 def propose_value(current: complex, scheme: ModulationScheme, rng: np.random.Generator) -> complex:

@@ -68,29 +68,34 @@ def test_mse_shape_mismatch():
         mse(np.zeros((2, 2)), np.zeros((2, 3), dtype=np.complex128))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
-@given(family=st.sampled_from(["binary-phase", "binary-amplitude", "amplitude", "amplitude:cont"]),
+@settings(derandomize=True, deadline=None, max_examples=90, database=None)
+@given(family=st.sampled_from(["binary-phase", "binary-amplitude", "amplitude", "amplitude:cont",
+                               "phase", "phase:cont"]),
        levels=st.integers(3, 8), height=st.integers(4, 13), width=st.integers(4, 13),
        seed=st.integers(0, 2**32 - 1))
 def test_half_plane_score_matches_full_transform(family, levels, height, width, seed):
-    """After a random one-pixel change to a real aperture, the score from the
-    leading rows, the folded target and the updated energy equals the full
-    magnitude error of a fresh transform, for any (non-symmetric) target."""
-    scheme = ModulationScheme.from_name(f"amplitude:{levels}" if family == "amplitude" else family)
-    assert scheme.is_real
+    """After a random one-pixel change to an aperture, the energy-form score
+    equals the full magnitude error of a fresh transform, for any
+    (non-symmetric) target: from the leading rows and the folded target for
+    a real aperture, from every row and the unfolded target for a complex
+    one."""
+    name = f"{family}:{levels}" if family in ("amplitude", "phase") else family
+    scheme = ModulationScheme.from_name(name)
+    real = not family.startswith("phase")
+    assert scheme.is_real is real
     rng = np.random.default_rng(seed)
     target = rng.random((height, width)) * 2.0
     hologram = quantise(rng.standard_normal((height, width)) + 1j * rng.standard_normal((height, width)),
                         scheme)
     replay = dft2(hologram)
-    rows = half_rows(height)
+    rows = half_rows(height) if real else height
     energy = float(np.vdot(hologram, hologram).real)
     x, y = int(rng.integers(width)), int(rng.integers(height))
     old = hologram[y, x]
     new = propose_value(old, scheme, rng)
     delta_update(replay, x, y, new - old, rows)
     hologram[y, x] = new
-    score = mse(fold_target(target), replay[:rows], energy=energy + abs(new) ** 2 - abs(old) ** 2)
+    score = mse(fold_target(target, real), replay[:rows], energy=energy + abs(new) ** 2 - abs(old) ** 2)
     want = mse(target, dft2(hologram))
     assert abs(score - want) <= 1e-12 * want
 

@@ -37,3 +37,16 @@ def test_gain_needs_nine_tenths_of_pairs_and_a_gap_wider_than_the_quartiles():
     assert (row["wins"], row["gain"]) == (10, False)
     row = pairs.summary(LOWER, runs(LOWER, base, [b - 0.3 for b in base[:8]] + base[8:]))
     assert (row["wins"], row["gain"]) == (8, False)
+
+
+def test_each_side_reports_its_smallest_and_largest_run():
+    """One outlier run moves neither median nor quartile, but shows in its
+    side's range."""
+    base = [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.1]
+    change = base[:5] + [9.0] + base[6:]
+    row = pairs.summary(LOWER, runs(LOWER, base, change))
+    assert row["change_median"] == row["base_median"]
+    assert row["change_quartiles"] == row["base_quartiles"]
+    assert row["base_range"] == [1.0, 1.2]
+    assert row["change_range"] == [1.0, 9.0]
+    assert row["worse"] is False

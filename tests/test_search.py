@@ -662,9 +662,11 @@ def test_replay_refreshed_every_interval_accepts(algorithm, interval, monkeypatc
 def test_real_aperture_search_transforms_and_scores_only_leading_rows(scheme, real, monkeypatch):
     """At set-up and at every refresh, a real aperture's search transforms
     and scores the replay's leading half_rows rows only; a complex
-    aperture's, every row."""
+    aperture's, every row. Every score, set-up and refresh included, is in
+    the energy form."""
     height, width = 9, 12
     shapes = {"dft2": [], "mse": []}
+    energy_form = []
     inner_dft2, inner_mse = search.dft2, search.mse
 
     def dft2_shape(*args, **kwargs):
@@ -674,6 +676,7 @@ def test_real_aperture_search_transforms_and_scores_only_leading_rows(scheme, re
 
     def mse_shape(target, replay, **kwargs):
         shapes["mse"].append(replay.shape)
+        energy_form.append(kwargs.get("energy") is not None)
         return inner_mse(target, replay, **kwargs)
 
     monkeypatch.setattr(search, "dft2", dft2_shape)
@@ -685,6 +688,7 @@ def test_real_aperture_search_transforms_and_scores_only_leading_rows(scheme, re
     rows = half_rows(height) if real else height
     assert shapes["dft2"] == [(rows, width)] * (1 + res.accepted // 3)
     assert set(shapes["mse"]) == {(rows, width)}
+    assert len(energy_form) == 1 + res.accepted // 3 + 200 and all(energy_form)
 
 
 @pytest.mark.parametrize("interval", [3, 50_000])

@@ -12,14 +12,16 @@ first in even pairs and the working tree first in odd ones.
 
 For every end-to-end metric that BENCHMARK.json names, it prints each side's
 median and quartiles, and in how many pairs the working tree was better
-(ties count for neither side). ``gain`` reads yes when the working tree won at
-least nine tenths of the pairs and the medians differ by more than the
-distance between the commit's quartiles. ``worse`` reads yes when the working
-tree's median is worse than the commit's by more than the metric's relative
-``bound`` in BENCHMARK.json: a median ratio below ``1 - bound`` for a metric
-where higher is better, above ``1 + bound`` where lower is. A run that
-``bench.failed`` counts as failed is listed and left out of its pair. The exit
-status is 1 if a run failed, no pair succeeded or a metric reads ``worse``.
+(ties count for neither side); after that table, each side's smallest and
+largest single run, where an outlier that the quartiles hide shows. ``gain``
+reads yes when the working tree won at least nine tenths of the pairs and the
+medians differ by more than the distance between the commit's quartiles.
+``worse`` reads yes when the working tree's median is worse than the commit's
+by more than the metric's relative ``bound`` in BENCHMARK.json: a median
+ratio below ``1 - bound`` for a metric where higher is better, above
+``1 + bound`` where lower is. A run that ``bench.failed`` counts as failed is
+listed and left out of its pair. The exit status is 1 if a run failed, no
+pair succeeded or a metric reads ``worse``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ def summary(metric: dict, pairs: list[tuple[dict, dict]]) -> dict:
         "metric": name, "unit": metric["unit"], "better": metric["better"],
         "base_median": med_base, "base_quartiles": [q1, q3],
         "change_median": med_change, "change_quartiles": list(quartiles(change)),
+        "base_range": [min(base), max(base)], "change_range": [min(change), max(change)],
         "ratio": ratio, "wins": wins, "pairs": len(pairs),
         "gain": 10 * wins >= 9 * len(pairs) and abs(med_change - med_base) > q3 - q1,
         "bound": bound,
@@ -121,6 +124,11 @@ def main(argv=None) -> int:
         print(f"{r['metric']:14s} {base:>34s} {change:>34s} {ratio:>7s} "
               f"{r['wins']:>3d}/{r['pairs']:<2d}  {'yes' if r['gain'] else 'no':4s}  "
               f"{'yes' if r['worse'] else 'no':5s} ({r['bound']:g})")
+    print(f"{'single runs':14s} {'base [smallest, largest]':>34s} {'change [smallest, largest]':>34s}")
+    for r in rows:
+        base = f"[{r['base_range'][0]:.4g}, {r['base_range'][1]:.4g}]"
+        change = f"[{r['change_range'][0]:.4g}, {r['change_range'][1]:.4g}]"
+        print(f"{r['metric']:14s} {base:>34s} {change:>34s}")
     for run in lost:
         print(f"failed: {run}")
     return 1 if lost or not pairs or any(r["worse"] for r in rows) else 0

@@ -63,6 +63,8 @@ RUNS = (
     # large enough that the set-up kernels split their rows over the cores
     ("render", "--resolution", "1024", "--selection", "sps", "--iterations", "200"),
     ("hist", "--resolution", "1024", "--scheme", "phase:cont"),
+    # refreshes a complex aperture's replay every third accept
+    ("render", "--resolution", "64", "--algorithm", "sa", "--scheme", "phase:8", "--recompute-interval", "3"),
     # fails: a custom schedule needs both --t-coeff and --t0
     ("run-ab", "--resolution", "64", "--algorithm", "sa", "--t0", "3"),
 )
