@@ -243,11 +243,15 @@ def _default_schedule(initial_mse: float, n_pixels: int) -> tuple[float, float]:
     """The ``(t_coeff, t0)`` of ``sa`` when the config gives neither: t0 = 6
     over the run and t_coeff = 8 * initial_error / pixel_count.
 
-    One pixel change moves the error by about 4/pixel_count energy units, so that
-    starting temperature admits a modest share of worsening moves early while
-    e^-6 of it is cold enough to end the run greedy. As t_coeff -> 0 the behavior
-    converges to direct search (worsening acceptance probability underflows to
-    zero).
+    The scale is sized for a binary-phase flip (|dh|^2 = 4), which moves the
+    error by about 4/pixel_count energy units: that starting temperature
+    admits a modest share of worsening moves early, and e^-6 of it is meant
+    to end the run near greedy. Multi-level schemes move the error by less
+    per change, and for them it is too hot: on the 128^2 synthetic bars under
+    phase:8, 20k iterations, seed 0, a default ``sa`` run went from 0.2306 to
+    0.2645 while ds-fast reached 0.2192 (ROADMAP.md, open items). As
+    t_coeff -> 0 the behavior converges to direct search (worsening
+    acceptance probability underflows to zero).
     """
     # Degenerate zero initial error still needs a positive temperature; any
     # tiny value keeps the run equivalent to direct search.

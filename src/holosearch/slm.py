@@ -162,11 +162,14 @@ def _phase_index(values: np.ndarray, n: int) -> np.ndarray:
 
     Nearest allowed angle means rounding t = angle*n/(2*pi) to an integer; on
     an exact half-integer t the two neighbors are complex-equidistant, and the
-    lower (mod n) index wins. A float value can tie exactly only at a multiple
-    of pi/4 (or at zero); for those angles angle/pi is exact, so t is formed
-    as angle/pi * (n/2) to land exactly on the half-integer. The angle is
-    taken with the real part plus 0.0, which makes a -0.0 real part +0.0, so
-    a zero of either sign has angle 0 and, like every tie, goes to level 0.
+    lower (mod n) index wins. Rounding half down, ceil(t - 1/2), gives every
+    tie its lower index except the tie of levels n-1 and 0 at t = -1/2, where
+    it gives -1; so a -1 from t >= -1/2 becomes 0, which also covers a t just
+    above -1/2 whose t - 1/2 rounds to -1. A float value can tie exactly only
+    at a multiple of pi/4 (or at zero); for those angles angle/pi is exact, so
+    t is formed as angle/pi * (n/2) to land exactly on the half-integer. The
+    angle is taken with the real part plus 0.0, which makes a -0.0 real part
+    +0.0, so a zero of either sign has angle 0 and goes to level 0.
     """
     flat = values.reshape(-1)
     t = flat.real + 0.0
@@ -175,14 +178,7 @@ def _phase_index(values: np.ndarray, n: int) -> np.ndarray:
     t *= n / 2
     k = t - 0.5
     np.ceil(k, out=k)
-    # t becomes the upper candidate; the two differ only on a tie.
-    t += 0.5
-    np.floor(t, out=t)
-    tie = k != t
-    if np.any(tie):
-        down_mod = np.mod(k[tie], n)
-        up_mod = np.mod(t[tie], n)
-        k[tie] = np.where(up_mod < down_mod, t[tie], k[tie])
+    k[(k == -1) & (t >= -0.5)] = 0
     k = k.astype(np.intp)
     k %= n
     return k.reshape(np.shape(values))
@@ -243,27 +239,19 @@ def change_map(original, quantised) -> np.ndarray:
 def propose_value(current: complex, scheme: ModulationScheme, rng: np.random.Generator) -> complex:
     """Draw a replacement value for a pixel currently holding an allowed value.
 
-    Discrete schemes return one of the other n-1 levels uniformly (exactly one
-    integer draw; a binary scheme needs no randomness at all and consumes
-    none). Continuous phase draws a uniform angle in [0, 2*pi); continuous
-    amplitude draws uniformly in [0, 1]; both redraw in the measure-zero event
-    of landing within 1e-12 of the current value, so the proposal never equals
-    what is already there.
+    Discrete schemes return one of the other n-1 table entries uniformly, in
+    table order, with exactly one integer draw; a binary scheme needs no
+    randomness at all and consumes none. Continuous phase draws a uniform
+    angle in [0, 2*pi); continuous amplitude draws uniformly in [0, 1); both
+    redraw in the measure-zero event of landing within 1e-12 of the current
+    value, so the proposal never equals what is already there.
     """
-    if scheme.levels == 2:
-        table = scheme.allowed_values()
-        return complex(table[1] if current == table[0] else table[0])
     if scheme.levels is not None:
         table = scheme.allowed_values()
-        if scheme.kind == PHASE:
-            t = np.angle(current) * scheme.levels / (2.0 * np.pi)
-            k = int(np.rint(t)) % scheme.levels
-        else:
-            k = int(np.rint(current.real * (scheme.levels - 1)))
-        j = int(rng.integers(scheme.levels - 1))
-        if j >= k:
-            j += 1
-        return complex(table[j])
+        if scheme.levels == 2:
+            return complex(table[1] if current == table[0] else table[0])
+        others = table[table != current]
+        return complex(others[rng.integers(scheme.levels - 1)])
     if scheme.kind == PHASE:
         while True:
             t = rng.uniform(0.0, 2.0 * np.pi)

@@ -237,6 +237,48 @@ def test_phase_index_at_the_modulo_edges(n):
     assert np.array_equal(_phase_index(grid, n), np.reshape(want[:24], (4, 6)))
     assert np.array_equal(quantise(np.array(values), scheme), scheme.allowed_values()[want])
 
+
+def phase_index_oracle(t, n):
+    """The tie rule spelled out on one t = angle*n/(2*pi): round half down,
+    and where ceil(t - 1/2) and floor(t + 1/2) differ, take the candidate
+    with the lower index mod n."""
+    down, up = math.ceil(t - 0.5), math.floor(t + 0.5)
+    return min(down % n, up % n) if down != up else down % n
+
+
+# Exact points of the axes and diagonals, by multiple of pi/4.
+_EIGHTHS = (1, 1 + 1j, 1j, -1 + 1j, -1, -1 - 1j, -1j, 1 - 1j)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(r=st.floats(1e-3, 1e3), d_re=st.integers(-4, 4), d_im=st.integers(-4, 4))
+def test_phase_index_near_ties_follow_the_tie_rule(n, r, d_re, d_im):
+    """Values a few ulps off every half-level angle (h + 1/2)*2*pi/n of the
+    turn, t = -1/2 (the tie of levels n-1 and 0) and t = n/2 included, get
+    the oracle's index for the t that _phase_index forms. A half-level on an
+    axis or diagonal starts from its exact point, so zero offsets tie
+    exactly."""
+    values = []
+    for h in range(-n, n):
+        if abs(h + 0.5) > n / 2:
+            continue
+        eighths, rest = divmod(8 * h + 4, n)
+        if rest == 0:
+            base = r * _EIGHTHS[eighths % 8]
+        else:
+            phi = (h + 0.5) * 2 * math.pi / n
+            base = complex(r * math.cos(phi), r * math.sin(phi))
+        values.append(complex(base.real + d_re * np.spacing(base.real),
+                              base.imag + d_im * np.spacing(base.imag)))
+    arr = np.array(values, dtype=np.complex128)
+    t = np.arctan2(arr.imag, arr.real + 0.0)
+    t /= np.pi
+    t *= n / 2
+    want = [phase_index_oracle(float(x), n) for x in t]
+    assert _phase_index(arr, n).tolist() == want, (n, r, d_re, d_im)
+
+
 def test_quantise_continuous_phase_keeps_angle():
     rng = np.random.default_rng(202)
     vals = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -371,6 +413,33 @@ def test_propose_discrete_never_current_and_uniform():
     chi2 = sum((c - expect) ** 2 / expect for c in counts.values())
     # df = 6; 35 is far beyond the 0.999 quantile (~22.5)
     assert chi2 < 35.0
+
+
+@pytest.mark.parametrize("scheme", _TIE_SCHEMES, ids=lambda s: s.name)
+def test_propose_discrete_at_every_level(scheme):
+    """From every level: never the current level, only table values, every
+    other level reached, and exactly one integers(n - 1) draw per proposal
+    (none for binary), checked against a twin generator. The value is the
+    draw's level counted past the current one in table order."""
+    table = scheme.allowed_values()
+    n = scheme.levels
+    for k, current in enumerate(table):
+        rng, twin = substream(k, STREAM_PROPOSAL), substream(k, STREAM_PROPOSAL)
+        seen = set()
+        for _ in range(40 * (n - 1)):
+            v = propose_value(complex(current), scheme, rng)
+            assert type(v) is complex
+            assert v != current
+            i = np.flatnonzero(table == v)
+            assert len(i) == 1, (scheme.name, k, v)
+            seen.add(int(i[0]))
+            if n == 2:
+                assert i[0] == 1 - k
+            else:
+                j = int(twin.integers(n - 1))
+                assert i[0] == j + (j >= k)
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert seen == set(range(n)) - {k}
 
 
 def test_propose_continuous():

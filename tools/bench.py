@@ -10,6 +10,8 @@ sitting runs, one after another and each in its own process:
   each, keeping every run's result line (the last line that
   ``holobench/run.py`` prints), its problems and its absent hooks;
 * the tier-1 test suite, timed;
+* holobench's own tests (``python3 -m pytest holobench/tests``), timed:
+  they sit outside the tier-1 ``testpaths``, so the suite does not run them;
 * one ``holo run-ab --resolution 128 --iterations 20000``, timed, with no
   BLAS thread variable in its environment, so it runs with ``holo``'s own
   default (one thread); the record keeps the key ``run_ab_128_uncapped``.
@@ -40,6 +42,7 @@ SECONDS = 12
 SEED = 0
 TRACED_SEEDS = (0, 1, 2)
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+HOLOBENCH_TESTS = ["-m", "pytest", "-q", "holobench/tests"]
 RUN_AB = ["-m", "holosearch.cli", "run-ab", "--resolution", "128", "--iterations", "20000", "--out-dir", "ab"]
 BLAS_CAPS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -122,6 +125,7 @@ def main(argv=None) -> int:
     record["holobench"] = [row for rs in runs.values() for row, _ in rs]
     record["traced_medians"] = {w: traced_medians([row for row, _ in rs[1:]], per_layer) for w, rs in runs.items()}
     record["tier1"] = timed(TIER1, env)
+    record["holobench_tests"] = timed(HOLOBENCH_TESTS, env)
     with tempfile.TemporaryDirectory() as tmp:
         record["run_ab_128_uncapped"] = timed(RUN_AB, uncapped, cwd=tmp)
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
@@ -130,7 +134,8 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(path)
     bad = [r for r in record["holobench"] if failed(r)]
-    return 1 if bad or record["tier1"]["returncode"] or record["run_ab_128_uncapped"]["returncode"] else 0
+    timed_runs = ("tier1", "holobench_tests", "run_ab_128_uncapped")
+    return 1 if bad or any(record[key]["returncode"] for key in timed_runs) else 0
 
 
 if __name__ == "__main__":

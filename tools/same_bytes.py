@@ -65,6 +65,8 @@ RUNS = (
     ("hist", "--resolution", "1024", "--scheme", "phase:cont"),
     # refreshes a complex aperture's replay every third accept
     ("render", "--resolution", "64", "--algorithm", "sa", "--scheme", "phase:8", "--recompute-interval", "3"),
+    # every level a snapped cardinal point (1, 1j, -1, -1j), under annealing
+    ("render", "--resolution", "64", "--algorithm", "sa", "--scheme", "phase:4", "--iterations", "5000"),
     # fails: a custom schedule needs both --t-coeff and --t0
     ("run-ab", "--resolution", "64", "--algorithm", "sa", "--t0", "3"),
 )
