@@ -171,7 +171,7 @@ def _phasors_into(theta: np.ndarray, z: np.ndarray) -> None:
     z.imag += 0.0
 
 
-def dft2(f, rows: int | None = None) -> np.ndarray:
+def dft2(f, rows: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Unitary forward 2D DFT of a field (aperture plane -> replay plane).
 
     With ``rows`` given, the field must be real and only the leading
@@ -179,6 +179,10 @@ def dft2(f, rows: int | None = None) -> np.ndarray:
     half_rows(height)``. They come from a real-input FFT down the columns,
     which computes rows ``0 .. height//2`` in about half the time of the
     whole transform; they equal the whole transform's to rounding.
+
+    ``out``, a complex128 array of the result's shape (the leading rows of
+    a taller one will do), takes the last pass's result and is returned,
+    with the bytes of the call without it.
 
     Raises
     ------
@@ -188,7 +192,7 @@ def dft2(f, rows: int | None = None) -> np.ndarray:
     """
     field = as_field(f)
     if rows is None:
-        return _fft2(np.fft.fft, field)
+        return _fft2(np.fft.fft, field, out)
     ny, nx = field.shape
     if not 1 <= rows <= half_rows(ny):
         raise ValueError(f"rows must be 1 .. {half_rows(ny)}, got {rows}")
@@ -198,7 +202,8 @@ def dft2(f, rows: int | None = None) -> np.ndarray:
     # along the rows, of which only the leading ones are kept.
     columns = np.empty((half_rows(ny), nx), dtype=np.complex128)
     _fft_pass(np.fft.rfft, field.real, columns, 0, field.size, norm="ortho")
-    out = np.empty((rows, nx), dtype=np.complex128)
+    if out is None:
+        out = np.empty((rows, nx), dtype=np.complex128)
     _fft_pass(np.fft.fft, columns[:rows], out, 1, field.size, norm="ortho")
     return out
 
@@ -208,16 +213,17 @@ def idft2(f) -> np.ndarray:
     return _fft2(np.fft.ifft, as_field(f))
 
 
-def _fft2(transform, field: np.ndarray) -> np.ndarray:
+def _fft2(transform, field: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``fft2``/``ifft2`` (as ``transform``) of a field, unitary, in numpy's
-    own two passes: along the rows, then down the columns. Each pass's
-    result is allocated after the pass before, as numpy allocates them: the
-    order of multi-MiB allocations decides how many fresh pages the set-up
-    touches. In one block these are the calls numpy's ``fft2``/``ifft2``
-    make, so the bytes are theirs."""
+    own two passes: along the rows, then down the columns, into ``out`` (a
+    new array when None). Each pass's result is allocated after the pass
+    before, as numpy allocates them: the order of multi-MiB allocations
+    decides how many fresh pages the set-up touches. In one block these are
+    the calls numpy's ``fft2``/``ifft2`` make, so the bytes are theirs."""
     rows = np.empty_like(field)
     _fft_pass(transform, field, rows, 1, field.size, norm="ortho")
-    out = np.empty_like(field)
+    if out is None:
+        out = np.empty_like(field)
     _fft_pass(transform, rows, out, 0, field.size, norm="ortho")
     return out
 

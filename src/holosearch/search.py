@@ -22,7 +22,10 @@ candidate; the direct form ``mean((|T| - |R|)^2)`` is the reference that
 every amplitude scheme) the replay is Hermitian, so the search transforms
 (with a real-input FFT), updates and scores only its leading ``Ny//2 + 1``
 rows, against the folded target, and mirror-fills the rest once at the end;
-complex apertures use the whole grid. A rejected candidate is rolled back
+complex apertures use the whole grid. Set-up and every refresh (after each
+``recompute_interval`` accepts) are one step: a fresh transform of the
+hologram into those rows of the one replay array, which is allocated
+untransformed, and its energy-form error. A rejected candidate is rolled back
 inside the next candidate's update (``delta_update(..., undo=)``), and one
 still pending when the loop ends is reverted before the replay is returned.
 ``ds-naive`` runs the mathematically identical full-transform path in a loop
@@ -261,41 +264,20 @@ def _default_schedule(initial_mse: float, n_pixels: int) -> tuple[float, float]:
     return t_coeff, 6.0
 
 
-def _energy(hologram: np.ndarray) -> float:
-    """Aperture energy sum(|H|^2), which equals the replay's by Parseval."""
-    return float(np.vdot(hologram, hologram).real)
-
-
-def _transform(hologram: np.ndarray, real: bool, replay: np.ndarray | None = None) -> np.ndarray:
-    """A fresh transform of ``hologram``. For a complex aperture, the whole
-    transform, as a new array. For a real one, only its leading
-    :func:`half_rows` rows, written into ``replay``, a full-height array (a
-    new one when None) whose lower rows are left to :func:`fill_mirror`."""
-    if not real:
-        return dft2(hologram)
-    if replay is None:
-        replay = np.empty(hologram.shape, dtype=np.complex128)
-    rows = half_rows(hologram.shape[0])
-    replay[:rows] = dft2(hologram, rows=rows)
-    return replay
-
-
-def _start(target: TargetImage, config: SearchConfig, seed: int,
-           real: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Set-up shared by every algorithm: the quantised random-phase
-    back-projection, its replay (see :func:`_transform`), and the sps order
-    (None for random).
+    back-projection, an untransformed replay array of its shape for the
+    caller to transform into, and the sps order (None for random).
 
     The back-projection is dropped as soon as the change map is taken, so it
-    is not held through the transform and the sort. The replay is allocated
-    before the sort's temporaries, as it outlives them: the other order
-    leaves holes in the malloc heap that raised the peak RSS of a 1024^2
-    render by 16 MiB."""
+    is not held through the sort. The replay is allocated before the sort's
+    temporaries, as it outlives them: the other order leaves holes in the
+    malloc heap that raised the peak RSS of a 1024^2 render by 16 MiB."""
     projected = back_project(target, substream(seed, STREAM_PHASE))
     hologram = quantise(projected, config.scheme)
     changes = change_map(projected, hologram) if config.selection == SELECT_SPS else None
     del projected
-    replay = _transform(hologram, real)
+    replay = np.empty(hologram.shape, dtype=np.complex128)
     order = None if changes is None else sps_order(changes)
     return hologram, replay, order
 
@@ -313,7 +295,7 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     if config.algorithm == ALGO_DS_NAIVE:
         return _naive_search(target, config, seed)
     real = config.scheme.is_real
-    hologram, replay, order = _start(target, config, seed, real)
+    hologram, replay, order = _start(target, config, seed)
     select_rng = substream(seed, STREAM_SELECTION)
     proposal_rng = substream(seed, STREAM_PROPOSAL)
     accept_rng = substream(seed, STREAM_ACCEPTANCE)
@@ -325,9 +307,17 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
     height, width = target.shape
     rows = half_rows(height) if real else height
     scored = fold_target(target.mag, real)
-    energy = _energy(hologram)
     leading = replay[:rows]
-    current_mse = initial_mse = mse(scored, leading, energy=energy)
+
+    def refresh() -> tuple[float, float]:
+        """Set-up and refresh: transform the hologram into the replay's
+        leading rows, and return the energy and the error from them."""
+        dft2(hologram, rows=rows if real else None, out=leading)
+        fresh = float(np.vdot(hologram, hologram).real)
+        return fresh, mse(scored, leading, energy=fresh)
+
+    energy, current_mse = refresh()
+    initial_mse = current_mse
 
     annealing = config.algorithm == ALGO_SA
     t_coeff, t0 = config.t_coeff, config.t0
@@ -361,10 +351,7 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
             current_mse, energy = candidate_mse, candidate_energy
             hologram[y, x] = new_value
             if accepted % config.recompute_interval == 0:
-                replay = _transform(hologram, real, replay)
-                leading = replay[:rows]
-                energy = _energy(hologram)
-                current_mse = mse(scored, leading, energy=energy)
+                energy, current_mse = refresh()
 
         if it % config.trace_stride == 0 or it == config.iterations:
             trace.append(it, current_mse, accepted)
@@ -381,6 +368,7 @@ def _naive_search(target: TargetImage, config: SearchConfig, seed: int) -> Searc
     transform of the changed hologram. It draws the same random numbers as
     ``ds-fast`` and is the reference the fast path is tested against."""
     hologram, replay, order = _start(target, config, seed)
+    dft2(hologram, out=replay)
     select_rng = substream(seed, STREAM_SELECTION)
     proposal_rng = substream(seed, STREAM_PROPOSAL)
     height, width = target.shape

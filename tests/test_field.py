@@ -416,6 +416,12 @@ def split_kernel_outputs(f, theta, real, size):
         "dft2 one row": dft2(real, rows=1),
         "texture": synthetic_mandrill(size).mag,
     }
+    given = np.empty_like(f)
+    assert dft2(f, out=given) is given
+    out["dft2 out="] = given
+    given = np.empty(real.shape, dtype=np.complex128)[:rows]
+    assert dft2(real, rows=rows, out=given) is given
+    out["dft2 rows out="] = given
     for scheme in SCHEMES:
         for label, x in (("2-D", f), ("1-D", f[-1]), ("0-d", f[0, 0])):
             q = quantise(x, scheme)
@@ -433,7 +439,9 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
     tiles, for odd and even shapes. Zeros of both signs and exact phase ties
     are among the quantised values. dft2(rows=) stays the leading rows of
     the whole transform in every block count. One block gives the bytes of
-    numpy's own fft2, ifft2 and rfftn calls."""
+    numpy's own fft2, ifft2 and rfftn calls. dft2(out=) returns the array
+    it was given, the leading rows of a taller one included, holding the
+    bytes of the call without out=."""
     rng = np.random.default_rng(seed)
     f = 2 * (rng.standard_normal((height, width)) + 1j * rng.standard_normal((height, width)))
     special = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 1j, -1 - 1j, 0.5, 1j, -1.0]
@@ -447,6 +455,8 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
     assert same_bytes(want["idft2"], np.fft.ifft2(f, norm="ortho"))
     assert same_bytes(want["dft2 rows"], rfftn[:half_rows(height)])
     assert same_bytes(want["dft2 one row"], rfftn[:1])
+    assert same_bytes(want["dft2 out="], want["dft2"])
+    assert same_bytes(want["dft2 rows out="], want["dft2 rows"])
     bound = 1e-12 * np.linalg.norm(real)
     for k in (2, 3, 5):
         with forced_blocks(k, tile=3):

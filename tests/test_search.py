@@ -663,15 +663,17 @@ def test_real_aperture_search_transforms_and_scores_only_leading_rows(scheme, re
     """At set-up and at every refresh, a real aperture's search transforms
     and scores the replay's leading half_rows rows only; a complex
     aperture's, every row. Every score, set-up and refresh included, is in
-    the energy form."""
+    the energy form. Every transform is written into the returned replay."""
     height, width = 9, 12
     shapes = {"dft2": [], "mse": []}
     energy_form = []
+    written = []
     inner_dft2, inner_mse = search.dft2, search.mse
 
     def dft2_shape(*args, **kwargs):
         out = inner_dft2(*args, **kwargs)
         shapes["dft2"].append(out.shape)
+        written.append(kwargs.get("out"))
         return out
 
     def mse_shape(target, replay, **kwargs):
@@ -689,6 +691,7 @@ def test_real_aperture_search_transforms_and_scores_only_leading_rows(scheme, re
     assert shapes["dft2"] == [(rows, width)] * (1 + res.accepted // 3)
     assert set(shapes["mse"]) == {(rows, width)}
     assert len(energy_form) == 1 + res.accepted // 3 + 200 and all(energy_form)
+    assert all(out is not None and np.shares_memory(out, res.replay) for out in written)
 
 
 @pytest.mark.parametrize("interval", [3, 50_000])
