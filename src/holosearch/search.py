@@ -93,8 +93,8 @@ def sps_order(changes: np.ndarray) -> np.ndarray:
     -0.0 onto 0.0), sorts the largest value first. Its low k bits, k =
     ``(N-1).bit_length()``, are replaced by the pixel index, which orders
     equal values by index. Values that differ only in the bits dropped can
-    share a key prefix in the wrong order; only runs of equal prefixes that
-    hold unequal values are re-sorted by their full values.
+    share a key prefix in the wrong order, so every run of keys with one
+    prefix is re-sorted by its full values, equal values or not.
     """
     flat = np.asarray(changes, dtype=np.float64).ravel()
     n = flat.size
@@ -111,39 +111,19 @@ def sps_order(changes: np.ndarray) -> np.ndarray:
     keys &= ~index_mask
     keys |= np.arange(n, dtype=np.uint64)
     keys.sort()
-    _sort_prefix_runs(keys, flat, shift, index_mask)
+    # Mark both keys of each adjacent pair that shares a prefix. A smaller
+    # prefix only holds larger values, so one stable sort of the marked keys
+    # by descending value keeps each run in place and orders it as the
+    # stable argsort would.
+    shared = (keys[1:] ^ keys[:-1]) <= index_mask
+    marked = np.zeros(n, dtype=bool)
+    marked[1:] = shared
+    marked[:-1] |= shared
+    at = np.flatnonzero(marked)
+    run = keys[at]
+    keys[at] = run[np.argsort(-flat[run & index_mask], kind="stable")]
     keys &= index_mask
     return keys.view(np.int64)
-
-
-def _sort_prefix_runs(keys: np.ndarray, flat: np.ndarray, shift: np.uint64, index_mask: np.uint64) -> None:
-    """Re-sort by full value, in place, each run of sorted packed keys (see
-    :func:`sps_order`) whose prefixes are equal but whose values are not.
-
-    A run's members are in index order after the key sort, so a stable sort
-    on the descending value orders them as the stable argsort would. Runs of
-    exactly equal values are already right and are left alone.
-    """
-    shared = np.flatnonzero((keys[1:] ^ keys[:-1]) <= index_mask)
-    if shared.size == 0:
-        return
-    first = keys[shared] & index_mask
-    second = keys[shared + 1] & index_mask
-    # Sorted, with a repeat for each further unequal pair in one run. (Not
-    # np.unique: its first call imports numpy.ma, whose long-lived objects,
-    # placed among a search's freed temporaries, keep the malloc heap from
-    # shrinking.)
-    prefixes = keys[shared[flat[first] != flat[second]]] >> shift
-    if prefixes.size == 0:
-        return
-    prefixes = prefixes[np.concatenate(([True], prefixes[1:] != prefixes[:-1]))] << shift
-    starts = np.searchsorted(keys, prefixes, side="left")
-    ends = np.searchsorted(keys, prefixes | index_mask, side="right")
-    lengths = ends - starts
-    offsets = np.cumsum(lengths) - lengths
-    at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
-    run = keys[at]
-    keys[at] = run[np.lexsort((-flat[run & index_mask], run >> shift))]
 
 
 def next_pixel(order: np.ndarray | None, n: int, width: int, height: int, rng: np.random.Generator) -> tuple[int, int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import _fft_pass, unit_phasors
+from .field import _fft_pass, half_rows, unit_phasors
 
 # Fixed generator seed for the synthetic texture; part of what makes builtin
 # targets byte-identical run to run on one numpy build and CPU. Across builds
@@ -130,7 +130,7 @@ def synthetic_mandrill(size: int) -> TargetImage:
     # antisymmetric, f[size - k] == -f[k], and hypot ignores signs. So amp is
     # computed on rows and columns 0 .. size//2, mirrored into the other
     # rows, and carries the 1/2.
-    h = size // 2 + 1
+    h = half_rows(size)
     fq = np.fft.fftfreq(size)[:h]
     amp = np.empty((size, h))
     amp[:h] = (np.hypot(fq[:, None], fq[None, :]) + 1.0 / size) ** -1.2

@@ -147,14 +147,16 @@ def test_sps_order_matches_stable_argsort(n, bases, spread, seed):
 
 
 def test_sps_order_matches_stable_argsort_at_1024():
-    """A 1024^2 change map of a quantised random field, and one of heavy
-    duplicates and ulp neighbours, whose keys share prefixes in long runs."""
+    """A 1024^2 change map of a quantised random field, one of heavy
+    duplicates and ulp neighbours, whose keys share prefixes in long runs,
+    and an all-equal one: a single run of 2^20 keys, re-sorted whole."""
     rng = np.random.default_rng(612)
     field = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
     changes = change_map(field, quantise(field, BINARY_PHASE))
     assert np.array_equal(sps_order(changes), stable_argsort(changes))
     values = ulp_neighbours(rng.choice([0.0, 0.25, 1.0, 1.5], size=1 << 20), rng).reshape(1024, 1024)
     assert np.array_equal(sps_order(values), stable_argsort(values))
+    assert np.array_equal(sps_order(np.full((1024, 1024), 0.5)), np.arange(1 << 20))
 
 
 @pytest.mark.parametrize("bad", [-1.0, -5e-324, np.nan, np.inf, -np.inf])

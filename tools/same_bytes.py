@@ -69,6 +69,8 @@ RUNS = (
     ("render", "--resolution", "64", "--algorithm", "sa", "--scheme", "phase:4", "--iterations", "5000"),
     # refreshes a real aperture's replay at a size whose transform passes split
     ("render", "--resolution", "1024", "--selection", "sps", "--iterations", "200", "--recompute-interval", "20"),
+    # searches a complex aperture at a size whose transform passes split
+    ("render", "--resolution", "1024", "--selection", "sps", "--scheme", "phase:8", "--iterations", "200"),
     # fails: a custom schedule needs both --t-coeff and --t0
     ("run-ab", "--resolution", "64", "--algorithm", "sa", "--t0", "3"),
 )
