@@ -228,25 +228,22 @@ def scatter_sweep(
     For each flat pixel index, the unquantised aperture has that one pixel
     replaced by its quantised value; returned are the quantisation-change
     magnitudes ``delta``, the resulting changes in replay error, and the
-    replay error of the unquantised aperture they are relative to. One O(N)
-    replay update per pixel, which also takes the previous pixel's change back
-    out.
+    replay error of the unquantised aperture they are relative to. Only the
+    sampled pixels are quantised. One O(N) replay update per pixel, which
+    also takes the previous pixel's change back out.
     """
-    quantised = quantise(aperture, scheme)
-    deltas_all = change_map(aperture, quantised).ravel()
+    picked = aperture.ravel()[indices]
+    quantised = quantise(picked, scheme)
+    deltas = change_map(picked, quantised)
     replay = dft2(aperture)
     baseline = mse(target.mag, replay)
     width = target.width
-    aperture_flat = aperture.ravel()
-    quantised_flat = quantised.ravel()
 
-    deltas = np.empty(len(indices))
     changes = np.empty(len(indices))
     move = None
     for row, idx in enumerate(indices):
         idx = int(idx)
-        move = delta_update(replay, idx % width, idx // width, quantised_flat[idx] - aperture_flat[idx], undo=move)
-        deltas[row] = deltas_all[idx]
+        move = delta_update(replay, idx % width, idx // width, quantised[row] - picked[row], undo=move)
         changes[row] = mse(target.mag, replay) - baseline
     return deltas, changes, baseline
 

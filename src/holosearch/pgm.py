@@ -113,7 +113,7 @@ CLAMP_UNIT = "clamp-unit"
 
 
 def save_pgm(image, path, normalization: str = LINEAR_MAX) -> None:
-    """Write a 2D array as an 8-bit binary PGM file.
+    """Write a non-empty 2D array as an 8-bit binary PGM file.
 
     ``image`` may be a TargetImage, a real array, or a complex field (its
     magnitudes are taken). Normalization maps values onto [0, 1] first:
@@ -131,19 +131,21 @@ def save_pgm(image, path, normalization: str = LINEAR_MAX) -> None:
         arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"image must be 2D, got {arr.ndim}D")
+    height, width = arr.shape
+    if not (height and width):
+        raise ValueError(f"image dimensions must be positive, got {width}x{height}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("image contains non-finite values")
     if normalization == LINEAR_MAX:
-        if arr.size and arr.min() < 0:
+        if arr.min() < 0:
             raise ValueError(f"{LINEAR_MAX} needs non-negative values, got minimum {arr.min()}")
-        peak = arr.max() if arr.size else 0.0
+        peak = arr.max()
         unit = arr / peak if peak > 0 else np.zeros_like(arr)
     elif normalization == CLAMP_UNIT:
         unit = np.clip(arr, 0.0, 1.0)
     else:
         raise ValueError(f"unknown normalization {normalization!r}; use {LINEAR_MAX!r} or {CLAMP_UNIT!r}")
     levels = np.rint(unit * 255.0).astype(np.uint8)
-    height, width = levels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(levels.tobytes())

@@ -233,15 +233,10 @@ def _default_schedule(initial_mse: float, n_pixels: int) -> tuple[float, float]:
     per change, and for them it is too hot: on the 128^2 synthetic bars under
     phase:8, 20k iterations, seed 0, a default ``sa`` run went from 0.2306 to
     0.2645 while ds-fast reached 0.2192 (ROADMAP.md, open items). As
-    t_coeff -> 0 the behavior converges to direct search (worsening
-    acceptance probability underflows to zero).
+    t_coeff -> 0 the run converges to direct search; a zero start error
+    gives T = 0, where :func:`boltzmann_accept` rejects after its one draw.
     """
-    # Degenerate zero initial error still needs a positive temperature; any
-    # tiny value keeps the run equivalent to direct search.
-    t_coeff = 8.0 * initial_mse / n_pixels
-    if t_coeff <= 0:
-        t_coeff = float(np.finfo(np.float64).tiny)
-    return t_coeff, 6.0
+    return 8.0 * initial_mse / n_pixels, 6.0
 
 
 def _start(target: TargetImage, config: SearchConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

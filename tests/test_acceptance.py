@@ -9,7 +9,6 @@ PASS/FAIL verdict per criterion after the run.
 """
 
 import functools
-import hashlib
 import math
 import multiprocessing
 import time

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 import holosearch

@@ -26,12 +26,12 @@ from holosearch.experiments import (
     run_scatter_experiment,
     scatter_sweep,
 )
-from holosearch.field import dft2, idft2
+from holosearch.field import dft2
 from holosearch.metrics import mse
 from holosearch.pgm import CLAMP_UNIT, load_pgm, save_pgm
 from holosearch.search import SearchConfig, run_search
-from holosearch.slm import ModulationScheme, quantise
-from holosearch.targets import TargetImage, synthetic_mandrill
+from holosearch.slm import ModulationScheme, change_map, quantise
+from holosearch.targets import TargetImage
 
 BINARY_PHASE = ModulationScheme("phase", 2)
 CONT_PHASE = ModulationScheme("phase", None)
@@ -227,19 +227,25 @@ def test_scatter_sweep_delta_zero_gives_zero_change():
 
 
 def test_scatter_sweep_matches_full_recompute():
-    rng = np.random.default_rng(703)
-    t = TargetImage(rng.random((8, 8)))
-    aperture = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    quantised = quantise(aperture, BINARY_PHASE)
-    baseline = mse(t.mag, dft2(aperture))
-    indices = np.array([0, 5, 17, 63])
-    _, changes, got_baseline = scatter_sweep(t, aperture, BINARY_PHASE, indices)
-    assert got_baseline == baseline
-    for row, idx in enumerate(indices):
-        test_ap = aperture.copy()
-        test_ap.ravel()[idx] = quantised.ravel()[idx]
-        want = mse(t.mag, dft2(test_ap)) - baseline
-        assert abs(changes[row] - want) < 1e-12
+    """Each sampled pixel's delta is the whole-grid change map's entry, and
+    its error change that of a full transform of the aperture with that one
+    pixel quantised. At 1024^2 a whole-grid quantise runs in split tiles."""
+    for size, scheme, indices in ((8, BINARY_PHASE, [0, 5, 17, 63]),
+                                  (1024, CONT_PHASE, [0, 4097, 524_800, 1024 * 1024 - 1])):
+        rng = np.random.default_rng(703)
+        t = TargetImage(rng.random((size, size)))
+        aperture = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        quantised = quantise(aperture, scheme)
+        baseline = mse(t.mag, dft2(aperture))
+        indices = np.array(indices)
+        deltas, changes, got_baseline = scatter_sweep(t, aperture, scheme, indices)
+        assert got_baseline == baseline
+        assert np.array_equal(deltas, change_map(aperture, quantised).ravel()[indices])
+        for row, idx in enumerate(indices):
+            test_ap = aperture.copy()
+            test_ap.ravel()[idx] = quantised.ravel()[idx]
+            want = mse(t.mag, dft2(test_ap)) - baseline
+            assert abs(changes[row] - want) < 1e-12
 
 
 def test_run_scatter_small(tmp_path):

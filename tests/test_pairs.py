@@ -50,3 +50,23 @@ def test_each_side_reports_its_smallest_and_largest_run():
     assert row["base_range"] == [1.0, 1.2]
     assert row["change_range"] == [1.0, 9.0]
     assert row["worse"] is False
+
+
+def test_the_working_tree_is_staged_without_caches_or_git(tmp_path, monkeypatch):
+    """Only src and holobench are copied, untracked files included; caches,
+    .git, tests and holobench's work directory stay behind."""
+    checkout = tmp_path / "checkout"
+    for name in ("src/holosearch/search.py", "src/holosearch/new_module.py",
+                 "src/holosearch/__pycache__/search.cpython-311.pyc", "holobench/run.py",
+                 "holobench/tests/test_holobench.py", "holobench/__pycache__/run.cpython-311.pyc",
+                 ".git/HEAD", ".holobench_work/run/out.csv", "tests/test_pairs.py", "README.md"):
+        path = checkout / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(name)
+    monkeypatch.setattr(pairs, "ROOT", str(checkout))
+    dest = tmp_path / "change"
+    pairs.copy_working_tree(str(dest))
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == ["holobench/run.py", "holobench/tests/test_holobench.py",
+                      "src/holosearch/new_module.py", "src/holosearch/search.py"]
+    assert (dest / "src/holosearch/search.py").read_text() == "src/holosearch/search.py"

@@ -176,7 +176,9 @@ def test_save_linear_max_rejects_negative_values(tmp_path):
 @pytest.mark.parametrize("image, message", [
     (np.zeros((2, 2, 2)), "image must be 2D, got 3D"),
     (np.array([[0.5, np.nan]]), "image contains non-finite values"),
-], ids=["3d", "nan"])
+    (np.zeros((0, 3)), "image dimensions must be positive, got 3x0"),
+    (np.zeros((2, 0)), "image dimensions must be positive, got 0x2"),
+], ids=["3d", "nan", "no-rows", "no-columns"])
 def test_save_rejects_unwritable_input(tmp_path, image, message):
     p = tmp_path / "bad.pgm"
     with pytest.raises(ValueError, match=f"^{message}$"):

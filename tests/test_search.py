@@ -17,7 +17,7 @@ import holosearch
 from holosearch import search
 from holosearch.field import dft2, half_rows, idft2
 from holosearch.metrics import mse
-from holosearch.rng import STREAM_ACCEPTANCE, STREAM_PHASE, STREAM_SELECTION, substream
+from holosearch.rng import STREAM_ACCEPTANCE, STREAM_PHASE, STREAM_PROPOSAL, STREAM_SELECTION, substream
 from holosearch.search import (
     ALGO_DS_FAST,
     ALGO_DS_NAIVE,
@@ -32,7 +32,7 @@ from holosearch.search import (
     run_search,
     sps_order,
 )
-from holosearch.slm import ModulationScheme, change_map, is_allowed, quantise
+from holosearch.slm import ModulationScheme, change_map, is_allowed, propose_value, quantise
 from holosearch.targets import TargetImage, normalize_energy, synthetic_bars, synthetic_mandrill
 from test_field import same_bytes
 
@@ -615,9 +615,9 @@ def test_sa_cools_over_the_run_length(monkeypatch):
 def test_sa_default_schedule_at_zero_error_stays_greedy(monkeypatch):
     """A 16x16 DC spike back-projects to a constant aperture, which binary
     phase quantises to a constant sign whose replay is the spike itself:
-    the initial error is exactly 0. The default t_coeff would then be 0, so
-    the schedule falls back to the smallest normal float, and no change of
-    a zero-error state is kept."""
+    the initial error is exactly 0. The default t_coeff is then 0, so the
+    run anneals at T = 0, where boltzmann_accept rejects every worsening
+    candidate, and no change of a zero-error state is kept."""
     temps = []
     inner = search.boltzmann_accept
 
@@ -632,7 +632,72 @@ def test_sa_default_schedule_at_zero_error_stays_greedy(monkeypatch):
         iterations=200, scheme=BINARY_PHASE, algorithm=ALGO_SA), seed=0)
     assert res.initial_mse == 0.0
     assert res.accepted == 0
-    assert temps[0] == np.finfo(np.float64).tiny
+    assert temps[0] == 0.0
+
+
+def reference_sa(target, config, seed):
+    """The annealing oracle: ``ds-naive``'s full-transform loop under the
+    ``sa`` acceptance rule. It takes ``run_search``'s set-up and draws from
+    the same four substreams; each candidate is scored by a full transform
+    and the direct-form error. Returns the final hologram, the accepted
+    count after every iteration (0 first), the final error, the number of
+    worsening accepts and the acceptance stream."""
+    hologram, _, order = search._start(target, config, seed)
+    select_rng = substream(seed, STREAM_SELECTION)
+    proposal_rng = substream(seed, STREAM_PROPOSAL)
+    accept_rng = substream(seed, STREAM_ACCEPTANCE)
+    height, width = target.shape
+    current = mse(target.mag, dft2(hologram))
+    counts, worsening = [0], 0
+    for n in range(1, config.iterations + 1):
+        x, y = next_pixel(order, n - 1, width, height, select_rng)
+        old_value = hologram[y, x]
+        hologram[y, x] = propose_value(old_value, config.scheme, proposal_rng)
+        candidate = mse(target.mag, dft2(hologram))
+        temperature = config.t_coeff * math.exp(-config.t0 * (n - 1) / config.iterations)
+        if boltzmann_accept(candidate - current, temperature, accept_rng):
+            worsening += candidate > current
+            current = candidate
+            counts.append(counts[-1] + 1)
+        else:
+            hologram[y, x] = old_value
+            counts.append(counts[-1])
+    return hologram, counts, current, worsening, accept_rng
+
+
+@pytest.mark.parametrize("selection", SELECTIONS)
+@pytest.mark.parametrize("family", ["binary-phase", "phase", "binary-amplitude", "amplitude"])
+@settings(derandomize=True, deadline=None, max_examples=4, database=None)
+@given(height=st.integers(4, 12), width=st.integers(4, 12), levels=st.integers(3, 8),
+       heat=st.floats(1.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_sa_matches_full_transform_reference(family, selection, height, width, levels, heat, seed):
+    """The fast annealing loop makes the oracle's decisions under hot
+    schedules (t_coeff at 1-10x the default), where worsening accepts, their
+    draws and a rejected move pending after one all occur: the same accepted
+    count at every iteration, the same hologram, the acceptance stream left
+    in the same state, and final errors within 1e-9."""
+    scheme = ModulationScheme.from_name(family if family.startswith("binary") else f"{family}:{levels}")
+    rng = np.random.default_rng(seed)
+    t = normalize_energy(TargetImage(rng.random((height, width)) + 0.05))
+    start_mse = run_search(t, SearchConfig(iterations=0, scheme=scheme, selection=selection), seed).initial_mse
+    config = SearchConfig(iterations=150, scheme=scheme, algorithm=ALGO_SA, selection=selection,
+                          t_coeff=heat * 8.0 * start_mse / t.mag.size, t0=6.0, trace_stride=1)
+    streams = []
+    inner = search.boltzmann_accept
+
+    def recording(delta_e, temperature, accept_rng):
+        streams.append(accept_rng)
+        return inner(delta_e, temperature, accept_rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "boltzmann_accept", recording)
+        fast = run_search(t, config, seed)
+    hologram, counts, final, worsening, accept_rng = reference_sa(t, config, seed)
+    assert worsening > 0
+    assert [s.accepted for s in fast.trace.samples] == counts
+    assert np.array_equal(fast.hologram, hologram)
+    assert streams[-1].bit_generator.state == accept_rng.bit_generator.state
+    assert abs(fast.final_mse - final) <= 1e-9 * final
 
 
 # --------------------------------------------------------- replay refresh, drift

@@ -2,10 +2,13 @@
 
     python3 tools/pairs.py --rev REV --workload W [--pairs 10] [--first-seed 1]
 
-Run from anywhere; the checkout is the parent of this file's directory. REV
-is exported with ``git archive`` into a temporary directory outside the
-checkout and removed afterwards; the working tree runs as it is, uncommitted
-changes included. Pair i (i = 0 .. pairs-1) runs ``holobench/run.py
+Run from anywhere; the checkout is the parent of this file's directory. Both
+trees are staged side by side in one temporary directory outside the
+checkout, removed afterwards: REV is exported with ``git archive`` into
+``base``, and the working tree's ``src`` and ``holobench`` (STAGED, all
+that a holobench run reads) are copied into ``change`` as they are,
+uncommitted and untracked files included, ``__pycache__`` left out. Neither
+tree has a ``.git``. Pair i (i = 0 .. pairs-1) runs ``holobench/run.py
 --workload W --seed first_seed+i --trace 0`` for ``bench.SECONDS`` once in
 each tree, each in its own process through ``bench.holobench``, the commit
 first in even pairs and the working tree first in odd ones.
@@ -27,6 +30,7 @@ pair succeeded or a metric reads ``worse``.
 from __future__ import annotations
 
 import argparse
+import os
 import shutil
 import statistics
 import subprocess
@@ -34,6 +38,8 @@ import sys
 import tempfile
 
 from bench import ROOT, SECONDS, benchmark, failed, holobench
+
+STAGED = ("src", "holobench")
 
 
 def export(rev: str, dest: str) -> str:
@@ -43,6 +49,14 @@ def export(rev: str, dest: str) -> str:
     tar = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", dest], input=tar, check=True)
     return commit
+
+
+def copy_working_tree(dest: str) -> None:
+    """Copy the STAGED directories of the checkout into dest, without
+    ``__pycache__``."""
+    for name in STAGED:
+        shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name),
+                        ignore=shutil.ignore_patterns("__pycache__"))
 
 
 def metrics(tree: str, workload: str, seed: int) -> dict | None:
@@ -94,8 +108,10 @@ def main(argv=None) -> int:
 
     tmp = tempfile.mkdtemp(prefix="holosearch-pairs-")
     try:
-        commit = export(args.rev, tmp)
-        trees = {"base": tmp, "change": ROOT}
+        trees = {side: os.path.join(tmp, side) for side in ("base", "change")}
+        os.makedirs(trees["base"])
+        commit = export(args.rev, trees["base"])
+        copy_working_tree(trees["change"])
         pairs, lost = [], []
         for i in range(args.pairs):
             seed = args.first_seed + i

@@ -71,6 +71,8 @@ RUNS = (
     ("render", "--resolution", "1024", "--selection", "sps", "--iterations", "200", "--recompute-interval", "20"),
     # searches a complex aperture at a size whose transform passes split
     ("render", "--resolution", "1024", "--selection", "sps", "--scheme", "phase:8", "--iterations", "200"),
+    # samples a grid whose whole-grid quantise would run in split tiles
+    ("scatter", "--resolution", "1024", "--scheme", "phase:cont", "--scatter-samples", "200"),
     # fails: a custom schedule needs both --t-coeff and --t0
     ("run-ab", "--resolution", "64", "--algorithm", "sa", "--t0", "3"),
 )
