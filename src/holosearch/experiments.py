@@ -30,6 +30,7 @@ from .search import (
     SELECT_SPS,
     SearchConfig,
     back_project,
+    require_integer,
     run_search,
 )
 from .slm import AMPLITUDE, PHASE, ModulationScheme, change_map, quantise
@@ -70,6 +71,8 @@ class ExperimentConfig:
     scatter_samples: int = 10_000
 
     def __post_init__(self):
+        for name in ("resolution", "seed", "scatter_samples"):
+            require_integer(name, getattr(self, name))
         if self.resolution not in RESOLUTIONS:
             raise ValueError(f"resolution must be one of {RESOLUTIONS}, got {self.resolution}")
         if self.seed < 0:

@@ -147,9 +147,6 @@ class ConvergenceTrace:
             raise ValueError(f"trace must start at iteration 0, got {iteration}")
         self.samples.append(TraceSample(int(iteration), float(mse_value), int(accepted)))
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
     @property
     def initial_mse(self) -> float:
         return self.samples[0].mse
@@ -161,10 +158,6 @@ class ConvergenceTrace:
     @property
     def final_iteration(self) -> int:
         return self.samples[-1].iteration
-
-    @property
-    def final_accepted(self) -> int:
-        return self.samples[-1].accepted
 
 
 def _check_pair(baseline: ConvergenceTrace, variant: ConvergenceTrace) -> None:

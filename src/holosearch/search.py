@@ -153,6 +153,13 @@ def back_project(target: TargetImage, rng: np.random.Generator) -> np.ndarray:
     return idft2(field)
 
 
+def require_integer(name: str, value) -> None:
+    """Raise ValueError naming the field unless value is an int or a numpy
+    integer; a bool is not a count."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Everything a search run needs besides the target and the seed.
@@ -178,6 +185,8 @@ class SearchConfig:
     trace_stride: int = 100
 
     def __post_init__(self):
+        for name in ("iterations", "recompute_interval", "trace_stride"):
+            require_integer(name, getattr(self, name))
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if not isinstance(self.scheme, ModulationScheme):

@@ -1,6 +1,9 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import argparse
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -358,3 +361,16 @@ def test_options_are_the_experiment_config_fields():
     assert list(_OPTIONS) == [f.name for f in fields(ExperimentConfig)]
     args = build_parser().parse_args(["render"])
     assert sorted(vars(args)) == sorted(["command", "config", *_OPTIONS])
+
+
+def test_readme_names_every_flag_of_every_subcommand():
+    """README's "Command line" section names exactly the flags ``holo``'s
+    subcommands accept (help aside), so a flag added or removed in the
+    parser is added or removed there too."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for sub in subparsers.choices.values() for action in sub._actions
+                for flag in action.option_strings} - {"-h", "--help"}
+    assert named == accepted

@@ -64,6 +64,13 @@ def test_config_validation():
         ExperimentConfig(algorithm="sa", t_coeff=-0.5, t0=6.0)
     with pytest.raises(ValueError):
         ExperimentConfig(scatter_samples=0)
+    for bad in ({"resolution": 64.0}, {"resolution": True}, {"seed": 1.5}, {"seed": True},
+                {"scatter_samples": 2.5}, {"iterations": True}, {"trace_stride": 2.5}):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ExperimentConfig(**bad)
+    counts = ExperimentConfig(resolution=np.int64(64), seed=np.int64(3), scatter_samples=np.int32(5))
+    assert (counts.resolution, counts.seed, counts.scatter_samples) == (64, 3, 5)
 
 
 def test_config_custom_schedule_needs_both_knobs():

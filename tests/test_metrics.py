@@ -175,7 +175,7 @@ def test_trace_accessors():
     assert tr.initial_mse == 1.0
     assert tr.final_mse == 0.5
     assert tr.final_iteration == 20
-    assert tr.final_accepted == 7
+    assert tr.samples[-1].accepted == 7
     assert tr.samples[1] == TraceSample(10, 0.6, 4)
 
 
