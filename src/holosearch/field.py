@@ -22,16 +22,19 @@ added. A search rolls a rejected move back by passing it as the next call's
 ``undo``, so taking it out costs no pass of its own; :func:`revert` takes
 back a move that no later update will.
 
-The set-up kernels (:func:`unit_phasors`, :func:`dft2`, :func:`idft2`, the
-synthetic texture's transform, and through ``slm._split_tiles``
-``slm.quantise`` and ``slm.change_map``) work in contiguous row blocks,
-one per usable core, on short-lived threads (:func:`_split_rows`). Every
-element is still computed by the same numpy call on the same values, so
-the bytes do not depend on the number of blocks; a grid under
-``2 * _MIN_BLOCK`` elements is one block, run on the calling thread. The
-transforms are numpy's own 1-D passes, written through ``out=``, which
-``numpy.fft`` takes from numpy 2.0 on. The search loop
-(:func:`delta_update`) is never split.
+Large kernels work in contiguous row blocks, one per usable core
+(:func:`_split_rows`): the set-up kernels (:func:`unit_phasors`,
+:func:`dft2`, :func:`idft2`, the synthetic texture's transform, and through
+``slm._split_tiles`` ``slm.quantise`` and ``slm.change_map``) from
+``2 * _MIN_BLOCK`` elements, and the search loop's two kernels (the replay
+update of :func:`delta_update` and :func:`revert`, and the magnitude pass of
+``metrics.mse``'s energy form) from ``2 * _MIN_LOOP_BLOCK``. The calling
+thread runs the first block and every block that no persistent helper thread
+has taken. Every element is still computed by the same numpy call on the
+same values, so the bytes do not depend on the number of blocks or on the
+thread that ran each; smaller work is one block, run on the calling thread.
+The transforms are numpy's own 1-D passes, written through ``out=``, which
+``numpy.fft`` takes from numpy 2.0 on.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ import contextvars
 import math
 import mmap
 import os
+import queue
 import threading
 from collections.abc import Callable
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +57,20 @@ import numpy as np
 # 1024^2 grid faster, so grids under 1024^2 run inline.
 _MIN_BLOCK = 1 << 19
 
+# The same floor for the search loop's kernels: the replay update and the
+# magnitude pass of the energy-form error. A loop block is one or two numpy
+# calls, where a set-up tile makes about 13, so a second thread pays from far
+# smaller grids: on a 2-vCPU KVM guest, a split made a search on a 128^2
+# complex aperture (16k elements) about half as fast and one on a 256^2
+# real aperture's half-plane (33k) slower, and one on a 256^2 complex
+# aperture (65k) or a 512^2 half-plane (132k) faster.
+_MIN_LOOP_BLOCK = 1 << 15
+
+# Elements the calling thread works through while a helper thread wakes up
+# (15-20 us on that guest): the caller's block is larger than each helper's
+# by this much, so that the caller seldom waits for a helper.
+_HEAD_START = 1 << 14
+
 
 def _usable_cores() -> int:
     """Cores this process may run on."""
@@ -61,57 +79,123 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _block_count(rows: int, elements: int) -> int:
+def _block_count(rows: int, elements: int, loop: bool = False) -> int:
     """Blocks :func:`_split_rows` cuts ``rows`` into for work on
-    ``elements`` elements: min(usable cores, ``elements // _MIN_BLOCK``,
-    rows), and at least 1."""
-    k = min(rows, elements // _MIN_BLOCK)
+    ``elements`` elements: min(usable cores, ``elements // floor``, rows),
+    and at least 1. The floor is ``_MIN_LOOP_BLOCK`` for a ``loop`` kernel
+    and ``_MIN_BLOCK`` for the others."""
+    k = min(rows, elements // (_MIN_LOOP_BLOCK if loop else _MIN_BLOCK))
     return min(k, _usable_cores()) if k > 1 else 1
 
 
-def _split_rows(rows: int, elements: int, fn: Callable[[slice], None]) -> None:
+class _Job:
+    """One block of a split. Whichever thread takes its lock first runs it,
+    a helper or the caller that offered it, and holds the lock until the
+    block is done."""
+
+    __slots__ = ("call", "lock", "error")
+
+    def __init__(self, call: Callable[[], None]):
+        self.call: Callable[[], None] | None = call
+        self.lock = threading.Lock()
+        self.error: BaseException | None = None
+
+    def take(self) -> bool:
+        """Run the block unless another thread is running it; False if one
+        is. The block's own exception is kept for the caller."""
+        if not self.lock.acquire(blocking=False):
+            return False
+        try:
+            if self.call is not None:
+                self.call()
+        except BaseException as exc:  # re-raised on the calling thread
+            self.error = exc
+        finally:
+            self.call = None  # a block that has run keeps none of its arrays alive
+            self.lock.release()
+        return True
+
+
+def _forget_helpers() -> None:
+    """Start with no helper thread and an empty queue: at import, and in a
+    forked child, which has none of its parent's threads."""
+    global _jobs, _helpers, _helpers_lock
+    _jobs = queue.SimpleQueue()
+    _helpers = []
+    _helpers_lock = threading.Lock()
+
+
+_forget_helpers()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _help(jobs: queue.SimpleQueue) -> None:
+    """A helper thread's loop: take each offered block in turn and run it
+    if the caller has not. It holds no job while it waits for the next."""
+    while True:
+        jobs.get().take()
+
+
+def _offer(jobs: list[_Job]) -> None:
+    """Queue ``jobs`` for the helpers, first starting helpers up to one per
+    job. A helper that cannot start is tried again at the next split; with
+    no helper at all nothing is queued, and the caller runs every block."""
+    if len(_helpers) < len(jobs):
+        with _helpers_lock:
+            while len(_helpers) < len(jobs):
+                thread = threading.Thread(target=_help, args=(_jobs,), daemon=True)
+                try:
+                    thread.start()
+                except RuntimeError:  # no thread to spare
+                    break
+                _helpers.append(thread)
+    if _helpers:
+        for job in jobs:
+            _jobs.put(job)
+
+
+def _split_rows(rows: int, elements: int, fn: Callable[[slice], None], loop: bool = False) -> None:
     """Call ``fn(block)`` for contiguous slices that cover ``range(rows)``.
 
-    There are k = :func:`_block_count` blocks of near-equal size; for k = 1
-    this is the one call ``fn(slice(0, rows))``. Otherwise blocks 1 .. k-1
-    run on short-lived threads, each in a copy of the caller's context (so
-    numpy's error state carries over), and block 0 on the calling thread. A
-    block whose thread cannot be started runs on the calling thread, and so
-    do the blocks after it. Every thread is joined before this returns, and
-    the exception of the lowest-numbered block that raised is re-raised here.
+    There are k = :func:`_block_count` blocks; for k = 1 this is the one
+    call ``fn(slice(0, rows))``. Otherwise block 0 is ``_HEAD_START``
+    elements larger than the others, which are of near-equal size (every
+    block keeps at least one row), and blocks 1 .. k-1 are offered to
+    persistent daemon helper threads, one per extra block, started on the
+    first split that needs them. The calling thread runs block 0, then
+    every offered block no helper has claimed yet, and waits only for blocks
+    a helper is running, so a busy or absent helper costs about a run on one
+    thread, and a split inside a block cannot deadlock. Each offered block
+    runs in a copy of the caller's context (so numpy's error state carries
+    over). Every block has run when this returns, and the exception of the
+    lowest-numbered block that raised is re-raised here.
 
     ``fn`` must write its results into arrays the caller allocated (numpy
     releases the interpreter lock there, so blocks run in parallel), keep its
-    temporaries to a tile, and call only numpy: no function that splits work
-    itself and nothing a profiler may have wrapped.
+    temporaries to a tile, and call only numpy and this module's tile
+    helpers: no function that splits work itself and nothing a profiler may
+    have wrapped.
     """
-    k = _block_count(rows, elements)
+    k = _block_count(rows, elements, loop)
     if k == 1:
         fn(slice(0, rows))
         return
-    bounds = [rows * i // k for i in range(k + 1)]
-    errors: list[BaseException | None] = [None] * k
-
-    def run(i: int) -> None:
-        try:
-            fn(slice(bounds[i], bounds[i + 1]))
-        except BaseException as exc:  # re-raised on the calling thread
-            errors[i] = exc
-
-    threads = []
-    for i in range(1, k):
-        thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-        try:
-            thread.start()
-        except RuntimeError:  # no thread to spare: the blocks left run here
-            break
-        threads.append(thread)
+    head = min(rows - k, rows * _HEAD_START // elements)
+    bounds = [0] + [head + (rows - head) * i // k for i in range(1, k + 1)]
+    jobs = [_Job(partial(contextvars.copy_context().run, fn, slice(bounds[i], bounds[i + 1])))
+            for i in range(1, k)]
+    _offer(jobs)
+    errors: list[BaseException | None] = [None]
     try:
-        for i in (0, *range(len(threads) + 1, k)):
-            run(i)
-    finally:
-        for thread in threads:
-            thread.join()
+        fn(slice(0, bounds[1]))
+    except BaseException as exc:  # re-raised once every block has run
+        errors[0] = exc
+    for job in jobs:
+        if not job.take():
+            with job.lock:  # a helper is running it
+                pass
+        errors.append(job.error)
     for exc in errors:
         if exc is not None:
             raise exc
@@ -293,18 +377,40 @@ def _twiddles(pos: int, n: int, count: int) -> np.ndarray:
 
 
 # Bytes of increment computed per row tile: small enough that a tile is still
-# in L2 when it is added to the replay.
-_TILE_BYTES = 256 * 1024
+# in L2 when it is added to the replay. On one thread, 512 KiB tiles made the
+# product at 256^2 to 1024^2 as fast as 256 KiB ones or up to 12% faster, and
+# 1 MiB ones (a split 512^2 half-plane block in one product) up to 30% slower.
+_TILE_BYTES = 512 * 1024
 
 
-@lru_cache(maxsize=None)
+class _Scratch(threading.local):
+    """Per-thread tile scratch, by width (see :func:`_tile`)."""
+
+    def __init__(self):
+        self.tiles: dict[int, np.ndarray] = {}
+
+
+_scratch = _Scratch()
+
+
 def _tile(width: int) -> np.ndarray:
     """Scratch for one row tile of a real-view increment ``width`` floats
-    wide: ``_TILE_BYTES // (8*width)`` rows, at least two, plus one row that
-    :func:`_add_product` may merge in. Shared, so not safe across threads;
-    mapped outside the malloc heap like :func:`_roots`."""
-    rows = max(2, _TILE_BYTES // (8 * width)) + 1
-    return np.frombuffer(mmap.mmap(-1, 8 * rows * width), dtype=np.float64).reshape(rows, width)
+    wide: :func:`_tile_rows` rows, and half as many again that
+    :func:`_add_rows` may merge in. Each thread has its own, so blocks and
+    searches that run on different threads never share one; mapped outside
+    the malloc heap like :func:`_roots`."""
+    tile = _scratch.tiles.get(width)
+    if tile is None:
+        step = _tile_rows(width)
+        rows = step + step // 2
+        tile = np.frombuffer(mmap.mmap(-1, 8 * rows * width), dtype=np.float64).reshape(rows, width)
+        _scratch.tiles[width] = tile
+    return tile
+
+
+def _tile_rows(width: int) -> int:
+    """Rows of a ``_TILE_BYTES`` tile ``width`` floats wide, at least two."""
+    return max(2, _TILE_BYTES // (8 * width))
 
 
 class Move(NamedTuple):
@@ -324,8 +430,8 @@ def _add_product(replay: np.ndarray, p: np.ndarray, w: np.ndarray) -> None:
     In float64 views this is one real matmul, ``(rows x 2m) @ (2m x 2Nx)``:
     with ``p = a + ib`` and ``w[2j] = c + id``, row ``[a, b]`` times the
     columns ``[c, -d]`` and ``[d, c]`` gives ``ac - bd`` and ``ad + bc``, the
-    real and imaginary parts of the product. The matmul writes one row tile
-    at a time into a scratch buffer that stays in cache until it is added.
+    real and imaginary parts of the product. A large product splits its rows
+    into loop blocks (:func:`_split_rows`); a small one is the one call.
     """
     rows = p.shape[0]
     pf = p.view(np.float64)
@@ -335,16 +441,30 @@ def _add_product(replay: np.ndarray, p: np.ndarray, w: np.ndarray) -> None:
         pf = np.concatenate((pf, pf))
     wf = w.view(np.float64)
     rf = replay.view(np.float64)
+    elements = rows * replay.shape[1]
+    if _block_count(rows, elements, loop=True) == 1:
+        _add_rows(rf, pf, wf, 0, rows)
+    else:
+        _split_rows(rows, elements, lambda part: _add_rows(rf, pf, wf, part.start, part.stop), loop=True)
+
+
+def _add_rows(rf: np.ndarray, pf: np.ndarray, wf: np.ndarray, start: int, stop: int) -> None:
+    """``rf[start:stop] += pf[start:stop] @ wf``, the float64 views of
+    :func:`_add_product`: the matmul writes one row tile at a time into this
+    thread's scratch, which stays in cache until it is added."""
     buf = _tile(wf.shape[1])
-    step = buf.shape[0] - 1
-    r0 = 0
-    while r0 < rows:
-        # A lone last row joins the tile before it, for the same reason.
-        r1 = rows if rows - r0 <= step + 1 else r0 + step
-        part = pf[r0:max(r1, 2)]
-        out = buf[:part.shape[0]]
-        np.matmul(part, wf, out=out)
-        rf[r0:r1] += out[:r1 - r0]
+    step = _tile_rows(wf.shape[1])
+    r0 = start
+    while r0 < stop:
+        # Last rows that would make at most half a tile join the tile before
+        # them, for fewer and fuller products; a tile of one row is
+        # multiplied with a neighbouring row, to keep it out of gemv.
+        r1 = stop if stop - r0 <= step + step // 2 else r0 + step
+        lo = min(r0, pf.shape[0] - 2)
+        hi = max(r1, lo + 2)
+        out = buf[:hi - lo]
+        np.matmul(pf[lo:hi], wf, out=out)
+        rf[r0:r1] += out[r0 - lo:r1 - lo]
         r0 = r1
 
 
@@ -362,6 +482,10 @@ def delta_update(replay: np.ndarray, x: int, y: int, dh: complex, rows: int | No
     transform. The twiddles come from a cached table of the Nx-th and Ny-th
     roots of unity, and the increment is computed and added one row tile at a
     time (:func:`_add_product`), so it never exists as a grid-sized array.
+    A large update splits its rows over the usable cores, with the bytes of
+    one block. Calls on different replays may run on different threads at
+    once: each thread multiplies into its own scratch. One replay must not
+    be updated from two threads at once.
 
     With ``rows`` given, only rows ``0 .. rows-1`` are updated and the other
     rows are left untouched; a Hermitian field needs no more than

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import half_rows
+from .field import _block_count, _split_rows, half_rows
 
 
 class FoldedTarget(NamedTuple):
@@ -85,7 +85,17 @@ def mse(target_mag: np.ndarray | FoldedTarget, replay: np.ndarray, energy: float
         folded = target_mag
         if folded.folded.shape != replay.shape:
             raise ValueError(f"shape mismatch: folded target {folded.folded.shape} vs rows {replay.shape}")
-        cross = np.abs(replay).ravel() @ folded.folded.ravel()
+        # A large magnitude pass splits its rows over the usable cores; a
+        # small one is the one call, as a split costs small grids more than
+        # the pass. The one dot product stays on this thread, so the sum is
+        # formed as in one block.
+        rows = replay.shape[0]
+        if _block_count(rows, replay.size, loop=True) == 1:
+            magnitude = np.abs(replay)
+        else:
+            magnitude = np.empty(replay.shape)
+            _split_rows(rows, replay.size, lambda part: np.abs(replay[part], out=magnitude[part]), loop=True)
+        cross = magnitude.ravel() @ folded.folded.ravel()
         return float((energy - 2.0 * cross + folded.energy) / folded.size)
     if target_mag.shape != replay.shape:
         raise ValueError(f"shape mismatch: target {target_mag.shape} vs replay {replay.shape}")

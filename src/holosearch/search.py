@@ -35,6 +35,7 @@ of its own and exists to cross-check the fast one decision-for-decision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +161,13 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(name: str, value) -> None:
+    """Raise ValueError naming the field unless value is a real number, such
+    as a Python or numpy int or float; a bool is not a temperature."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Everything a search run needs besides the target and the seed.
@@ -200,6 +208,7 @@ class SearchConfig:
         if self.t_coeff is not None:
             for name in ("t_coeff", "t0"):
                 value = getattr(self, name)
+                require_real(name, value)
                 if not (value > 0 and math.isfinite(value)):
                     raise ValueError(f"{name} must be positive and finite, got {value}")
             if self.algorithm != ALGO_SA:

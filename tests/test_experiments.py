@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from holosearch import field
+from holosearch import field, search
 from holosearch.experiments import (
     HISTOGRAM_BINS,
     HISTOGRAM_HEADER,
@@ -402,49 +402,89 @@ def _set_up_digest() -> str:
     return digest.hexdigest()
 
 
-def _send_set_up_digest(conn) -> None:
-    conn.send(_set_up_digest())
+def _search_digest() -> str:
+    """sha256 of a 64^2 phase:8 sa search of 2000 iterations: its hologram,
+    replay and final error."""
+    config = ExperimentConfig(resolution=64, iterations=2000, algorithm="sa",
+                              scheme=ModulationScheme.from_name("phase:8"))
+    result = run_search(prepare_target(config), config.search_config(), config.seed)
+    digest = hashlib.sha256(result.hologram.tobytes() + result.replay.tobytes())
+    digest.update(repr(result.final_mse).encode())
+    return digest.hexdigest()
+
+
+def _send_digest(conn, digest) -> None:
+    conn.send((digest(), any(helper.is_alive() for helper in field._helpers)))
     conn.close()
 
 
-def test_split_set_up_runs_in_a_forked_child(monkeypatch):
-    """The set-up kernels start and join their own threads, so a process
-    forked after a split set-up holds no thread or lock of it: the child
-    repeats the set-up, splitting it again, and gets the parent's bytes."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
-    want = _set_up_digest()
+def _digest_in_forked_child(digest) -> str:
+    """``digest()`` computed in a child forked from this process, which must
+    have split its own work over helpers it started itself."""
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_set_up_digest, args=(sender,))
+    child = ctx.Process(target=_send_digest, args=(sender, digest))
     child.start()
     sender.close()
     try:
         assert receiver.poll(120), "the forked child sent nothing within 120 s"
-        got = receiver.recv()
+        got, helped = receiver.recv()
     finally:
         child.join(30)
         if child.is_alive():
             child.kill()
             child.join()
     assert child.exitcode == 0
-    assert got == want
+    assert helped, "the forked child ran with no live helper"
+    return got
+
+
+def test_split_set_up_runs_in_a_forked_child(monkeypatch):
+    """A process forked after a split set-up holds none of its parent's
+    helper threads or queued blocks: the child starts helpers of its own,
+    repeats the set-up, splitting it again, and gets the parent's bytes."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    want = _set_up_digest()
+    assert field._helpers, "the parent's split started no helper"
+    assert _digest_in_forked_child(_set_up_digest) == want
+
+
+def test_split_search_runs_in_a_forked_child(monkeypatch):
+    """A child forked after a search whose loop split over a helper, while
+    that helper is alive, repeats the search with the parent's bytes."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_MIN_LOOP_BLOCK", 1)
+    want = _search_digest()
+    assert any(helper.is_alive() for helper in field._helpers)
+    assert _digest_in_forked_child(_search_digest) == want
 
 
 @pytest.mark.parametrize("scheme", ["binary-phase", "phase:8"])
 def test_set_up_under_the_split_floor_starts_no_thread(monkeypatch, scheme):
-    """Grids under 1024^2 run inline: a 512^2 set-up and a zero-iteration
-    sps search start no thread, even with eight usable cores."""
+    """Grids under 1024^2 run inline: the set-up kernels of a 512^2 sps
+    search (target, back-projection, quantisation, change map, sort and the
+    replay's transform) split no block and start no thread, even with eight
+    usable cores. Its first error, a loop kernel, may split."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 8)
     start = threading.Thread.start
     started = []
+    splits = []
+    block_count = field._block_count
 
     def record(thread):
         started.append(thread)
         start(thread)
 
+    def count(rows, elements, loop=False):
+        k = block_count(rows, elements, loop)
+        splits.append((loop, k))
+        return k
+
     monkeypatch.setattr(threading.Thread, "start", record)
+    monkeypatch.setattr(field, "_block_count", count)
     config = ExperimentConfig(resolution=512, iterations=0, selection="sps",
                               scheme=ModulationScheme.from_name(scheme))
-    target = prepare_target(config)
-    run_search(target, config.search_config(), config.seed)
+    monkeypatch.setattr(search, "mse", lambda *args, **kwargs: 0.5)
+    run_search(prepare_target(config), config.search_config(), config.seed)
     assert started == []
+    assert splits and all(k == 1 for loop, k in splits)

@@ -5,8 +5,12 @@ kept deliberately slow and independent of any FFT library.
 """
 
 import contextlib
+import gc
 import math
+import queue
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from holosearch.field import (
     revert,
     unit_phasors,
 )
+from holosearch.metrics import fold_target, mse
 from holosearch.slm import ModulationScheme, change_map, quantise
 from holosearch.targets import synthetic_mandrill
 
@@ -393,14 +398,52 @@ SCHEMES = [ModulationScheme.from_name(name) for name in (
 
 @contextlib.contextmanager
 def forced_blocks(k, tile=None):
-    """Split every kernel into min(k, rows) blocks, whatever the grid size
-    and the host, and quantise/change_map into tiles of ``tile`` elements."""
+    """Split every kernel, the search loop's included, into min(k, rows)
+    blocks of near-equal size, whatever the grid size and the host, and
+    quantise/change_map into tiles of ``tile`` elements."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "_usable_cores", lambda: k)
         mp.setattr(field, "_MIN_BLOCK", 1)
+        mp.setattr(field, "_MIN_LOOP_BLOCK", 1)
+        mp.setattr(field, "_HEAD_START", 0)
         if tile is not None:
             mp.setattr(slm, "_TILE", tile)
         yield
+
+
+@contextlib.contextmanager
+def fresh_helpers(loop=None):
+    """A helper pool of the block's own: no helper thread and an empty queue
+    at its start. With ``loop`` given, each helper started in the block runs
+    ``loop(jobs)`` in place of the package's loop. Helpers started in the
+    block outlive it, idle on a queue nothing offers to again."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_jobs", queue.SimpleQueue())
+        mp.setattr(field, "_helpers", [])
+        if loop is not None:
+            mp.setattr(field, "_help", loop)
+        yield
+
+
+def stalled(jobs):
+    """A helper's loop that takes every offered block off the queue and never
+    claims one, as a helper busy elsewhere would."""
+    while True:
+        jobs.get()
+
+
+def never_gets(jobs):
+    """A helper's loop that never takes a block off the queue."""
+    threading.Event().wait()
+
+
+def finishes(call, seconds=60):
+    """Run ``call`` on a watchdog thread; True if it returned in time (a
+    split that waits on a block nobody runs would hang)."""
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    return not thread.is_alive()
 
 
 def split_kernel_outputs(f, theta, real, size):
@@ -470,9 +513,11 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
 
 
 def test_split_rows_reraises_the_first_exception_of_a_worker_block(monkeypatch):
+    """Every block runs, and the lowest-numbered failure is re-raised; the
+    split starts one daemon helper per extra block."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 3)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
-    baseline = threading.active_count()
+    monkeypatch.setattr(field, "_HEAD_START", 0)
     seen = []
 
     def fn(block):
@@ -480,22 +525,30 @@ def test_split_rows_reraises_the_first_exception_of_a_worker_block(monkeypatch):
         if block.start > 0:
             raise ZeroDivisionError(f"block from {block.start}")
 
-    with pytest.raises(ZeroDivisionError, match="block from 3"):
+    with fresh_helpers(), pytest.raises(ZeroDivisionError, match="block from 3"):
         field._split_rows(9, 9, fn)
+        assert len(field._helpers) == 2 and all(t.daemon and t.is_alive() for t in field._helpers)
     assert sorted(seen) == [(0, 3), (3, 6), (6, 9)]
-    assert threading.active_count() == baseline
 
 
 def test_split_rows_blocks_keep_the_callers_numpy_error_state(monkeypatch):
-    """A worker block runs under the caller's np.errstate, as block 0 does."""
+    """A block a helper runs is under the caller's np.errstate, as block 0
+    is: block 0 holds the caller until a helper has taken block 1."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 2)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
+    monkeypatch.setattr(field, "_HEAD_START", 0)
+    taken = threading.Event()
+    caller = threading.current_thread()
 
     def fn(block):
-        if block.start > 0:
+        if block.start == 0:
+            assert taken.wait(60), "no helper took block 1"
+        else:
+            assert threading.current_thread() is not caller
+            taken.set()
             np.divide(np.ones(1), np.zeros(1))
 
-    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+    with fresh_helpers(), np.errstate(divide="raise"), pytest.raises(FloatingPointError):
         field._split_rows(2, 2, fn)
 
 
@@ -503,57 +556,239 @@ def test_split_rows_runs_small_work_inline(monkeypatch):
     """Below two minimum blocks the one block runs on the calling thread."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 8)
     threads = []
-    n = 2 * field._MIN_BLOCK - 1
-    field._split_rows(n, n, lambda block: threads.append((threading.current_thread(), block)))
-    assert threads == [(threading.current_thread(), slice(0, n))]
+    for n, loop in ((2 * field._MIN_BLOCK - 1, False), (2 * field._MIN_LOOP_BLOCK - 1, True)):
+        threads.clear()
+        field._split_rows(n, n, lambda block: threads.append((threading.current_thread(), block)), loop=loop)
+        assert threads == [(threading.current_thread(), slice(0, n))]
+
+
+def test_split_rows_gives_the_caller_a_head_start(monkeypatch):
+    """Block 0 is _HEAD_START elements larger than the others, which differ
+    by at most a row, and no block is left empty."""
+    monkeypatch.setattr(field, "_MIN_LOOP_BLOCK", 1)
+    for cores, rows, width in ((2, 256, 256), (2, 257, 512), (3, 100, 1000), (3, 5, 1 << 20), (2, 2, 1 << 20), (3, 5, 1)):
+        monkeypatch.setattr(field, "_usable_cores", lambda: cores)
+        blocks = []
+        field._split_rows(rows, rows * width, blocks.append, loop=True)
+        sizes = [b.stop - b.start for b in sorted(blocks, key=lambda b: b.start)]
+        assert sum(sizes) == rows and len(sizes) == cores and min(sizes) >= 1
+        head = min(rows - cores, rows * field._HEAD_START // (rows * width))
+        assert abs(sizes[0] - head - sizes[1]) <= 1 and max(sizes[1:]) - min(sizes[1:]) <= 1
 
 
 def test_split_kernels_leave_no_thread_behind(monkeypatch):
-    """After every split call, one that raised included, the process has
+    """A split starts no thread of its own: the first one starts the
+    persistent helpers (one per extra block, daemon threads), and after
+    that every split call, one that raised included, leaves the process
     the threads it had before."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 3)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
-    baseline = threading.active_count()
+    monkeypatch.setattr(field, "_MIN_LOOP_BLOCK", 1)
     rng = np.random.default_rng(6)
     f = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
+    replay = dft2(f)
+    scored = fold_target(np.abs(f), hermitian=False)
     calls = [lambda: unit_phasors(f.real), lambda: dft2(f), lambda: idft2(f),
-             lambda: dft2(f.real, rows=7), lambda: synthetic_mandrill(12)]
+             lambda: dft2(f.real, rows=7), lambda: synthetic_mandrill(12),
+             lambda: revert(replay, delta_update(replay, 3, 4, 1j)),
+             lambda: mse(scored, replay, energy=1.0)]
     calls += [lambda s=s: change_map(f, quantise(f, s)) for s in SCHEMES]
-    for call in calls:
-        call()
+    with fresh_helpers():
+        field._split_rows(12, 12, lambda block: None)
+        helpers = list(field._helpers)
+        assert len(helpers) == 2 and all(t.daemon for t in helpers)
+        baseline = threading.active_count()
+        for call in calls:
+            call()
+            assert threading.active_count() == baseline
+        with pytest.raises(ValueError):
+            field._split_rows(12, 12, lambda block: int("not a number"))
         assert threading.active_count() == baseline
-    with pytest.raises(ValueError):
-        field._split_rows(12, 12, lambda block: int("not a number"))
-    assert threading.active_count() == baseline
+        assert field._helpers == helpers
 
 
 def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
-    """A block whose thread cannot be started runs on the calling thread,
-    and so do the blocks after it, even if a later thread could start; a
-    kernel split that way keeps its bytes."""
+    """With no helper able to start, the calling thread runs every block and
+    queues none; with only one able to start, that one and the caller run
+    them. A kernel split either way keeps its bytes."""
     rng = np.random.default_rng(8)
     f = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
     with forced_blocks(1):
         want = dft2(f)
     start = threading.Thread.start
-    started = []
     calls = []
 
-    def start_but_the_second(thread):
+    def start_only_the_first(thread):
         calls.append(thread)
-        if len(calls) % 3 == 2:
+        if len(calls) > 1 or failing:
             raise RuntimeError("can't start new thread")
-        started.append(thread)
         start(thread)
 
-    monkeypatch.setattr(threading.Thread, "start", start_but_the_second)
+    monkeypatch.setattr(threading.Thread, "start", start_only_the_first)
     caller = threading.current_thread()
-    baseline = threading.active_count()
-    with forced_blocks(4):
+    failing = True
+    with forced_blocks(4), fresh_helpers():
         where = {}
         field._split_rows(8, 8, lambda block: where.setdefault(block.start, threading.current_thread()))
-        assert sorted(where) == [0, 2, 4, 6]
-        assert where[2] is started[0] and caller is where[0] is where[4] is where[6]
-        calls.clear()
+        assert sorted(where) == [0, 2, 4, 6] and all(t is caller for t in where.values())
+        assert field._helpers == [] and field._jobs.empty()
         assert same_bytes(dft2(f), want)
-    assert threading.active_count() == baseline
+    failing = False
+    calls.clear()
+    with forced_blocks(3), fresh_helpers():
+        assert same_bytes(dft2(f), want)
+        assert len(field._helpers) == 1
+        where = {}
+        field._split_rows(9, 9, lambda block: where.setdefault(block.start, 0))
+        assert sorted(where) == [0, 3, 6]
+
+
+# ------------------------------------------------------- loop kernels, split
+
+LOOP_SHAPES = [(2, 2), (3, 5), (4, 7), (9, 4), (13, 6), (40, 3)]
+
+
+def loop_kernel_outputs(replay, holo, real, rows_kind):
+    """Replays and errors of a sequence of updates, undos and reverts, every
+    one scored in the energy form, as the fast search runs them."""
+    ny, nx = replay.shape
+    rows = {"all": None, "half": half_rows(ny), "one": 1}[rows_kind]
+    k = ny if rows is None else rows
+    scored = fold_target(np.abs(holo)[:k], hermitian=False)
+    replay = replay.copy()
+    out = []
+    pending = None
+    for i, (x, y) in enumerate(((0, 0), (nx - 1, ny - 1), (nx // 2, ny // 3), (1 % nx, 1 % ny))):
+        dh = 2.0 if real else complex(0.5, -1.5)
+        move = delta_update(replay, x, y, dh * (i + 1), rows, undo=pending)
+        out.append(replay.copy())
+        out.append(mse(scored, replay[:k], energy=float(i + 3)))
+        pending = None if i == 1 else move
+    if pending is not None:
+        revert(replay, pending)
+    out.append(replay)
+    return out
+
+
+@pytest.mark.parametrize("head", [0, None])
+@pytest.mark.parametrize("cores", [2, 3])
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(shape=st.sampled_from(LOOP_SHAPES), real=st.booleans(), rows_kind=st.sampled_from(["all", "half", "one"]),
+       tile=st.sampled_from([16, 24, 48, 1 << 19]), seed=st.integers(0, 2**32 - 1))
+def test_loop_kernels_give_the_bytes_of_one_block(cores, head, shape, real, rows_kind, tile, seed):
+    """delta_update (all rows, the half plane, one row; with and without
+    undo=), revert and the energy-form mse give the bytes of one block when
+    split over 2 or 3 blocks, near-equal or with the caller's head start (one
+    row per helper on these grids). Tiles of a few rows put merged last rows
+    and one-row blocks in the split."""
+    rng = np.random.default_rng(seed)
+    holo = rng.standard_normal(shape) if real else random_field(rng, shape)
+    replay = dft2(holo)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_TILE_BYTES", tile * 2 * shape[1])  # tile rows = tile // 8, at least two
+        mp.setattr(field, "_scratch", field._Scratch())
+        want = loop_kernel_outputs(replay, holo, real, rows_kind)
+        mp.setattr(field, "_usable_cores", lambda: cores)
+        mp.setattr(field, "_MIN_LOOP_BLOCK", 1)
+        if head is not None:
+            mp.setattr(field, "_HEAD_START", head)
+        got = loop_kernel_outputs(replay, holo, real, rows_kind)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert same_bytes(a, b)
+
+
+def test_stalled_helper_leaves_every_block_to_the_caller(monkeypatch):
+    """A helper that never claims a block costs no wait: the caller runs
+    every block, and every split kernel keeps its bytes."""
+    rng = np.random.default_rng(9)
+    f = random_field(rng, (12, 10))
+    holo = rng.standard_normal((12, 10))
+    with forced_blocks(1):
+        want = split_kernel_outputs(f, f.real, holo, 12) | {"loop": loop_kernel_outputs(dft2(holo), holo, True, "half")}
+    with forced_blocks(3), fresh_helpers(stalled):
+        callers, where, got = [], set(), {}
+
+        def split():
+            callers.append(threading.current_thread())
+            field._split_rows(9, 9, lambda block: where.add(threading.current_thread()))
+
+        assert finishes(split)
+        assert finishes(lambda: got.update(split_kernel_outputs(f, f.real, holo, 12)))
+        assert finishes(lambda: got.update(loop=loop_kernel_outputs(dft2(holo), holo, True, "half")))
+        assert len(field._helpers) == 2
+    assert where == set(callers)
+    for name in want:
+        if name == "loop":
+            assert all(same_bytes(a, b) for a, b in zip(got[name], want[name]))
+        else:
+            assert same_bytes(got[name], want[name]), name
+
+
+def test_split_loop_kernels_under_thread_stress(monkeypatch):
+    """Four threads, more than the cores, each run updates and errors on a
+    replay of their own, every call split over three blocks, with the
+    interpreter switching threads every few microseconds: each ends with the
+    bytes it gets alone."""
+    rng = np.random.default_rng(10)
+    holos = [random_field(rng, (48, 40)) for _ in range(4)]
+    want = [loop_kernel_outputs(dft2(h), h, False, "all") for h in holos]
+    got = [None] * 4
+    with forced_blocks(3):
+        def work(i):
+            for _ in range(40):
+                got[i] = loop_kernel_outputs(dft2(holos[i]), holos[i], False, "all")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+    for i in range(4):
+        assert len(got[i]) == len(want[i]) and all(same_bytes(a, b) for a, b in zip(got[i], want[i])), i
+
+
+def test_a_split_keeps_no_block_alive(monkeypatch):
+    """Once a split returns, nothing holds its blocks' arrays: not a helper
+    that ran a block, nor a block still queued for a helper that never took
+    it off the queue."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_MIN_BLOCK", 1)
+    for loop in (None, never_gets):
+        with fresh_helpers(loop):
+            for _ in range(3):
+                data = np.arange(8.0)
+                ref = weakref.ref(data)
+                field._split_rows(8, 8, lambda block, data=data: data[block].sum())
+                del data
+                gc.collect()
+                assert ref() is None
+
+
+def test_split_inside_a_block_completes(monkeypatch):
+    """A block that splits again, on the caller or on a helper, finishes:
+    the thread that offered the inner blocks runs any nobody has claimed."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_MIN_BLOCK", 1)
+    monkeypatch.setattr(field, "_HEAD_START", 0)
+    covered = []
+    lock = threading.Lock()
+
+    def inner(block):
+        with lock:
+            covered.extend(range(block.start, block.stop))
+
+    def outer(block):
+        field._split_rows(block.stop - block.start, block.stop - block.start,
+                          lambda part: inner(slice(block.start + part.start, block.start + part.stop)))
+
+    for _ in range(20):
+        covered.clear()
+        assert finishes(lambda: field._split_rows(8, 8, outer))
+        assert sorted(covered) == list(range(8))

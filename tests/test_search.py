@@ -2,11 +2,13 @@
 back-projection and the optimisation loops (naive vs fast)."""
 
 import cmath
+import dataclasses
 import hashlib
 import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holosearch
-from holosearch import search
+from holosearch import field, search
+from holosearch.experiments import ExperimentConfig, prepare_target
 from holosearch.field import dft2, half_rows, idft2
 from holosearch.metrics import mse
 from holosearch.rng import STREAM_ACCEPTANCE, STREAM_PHASE, STREAM_PROPOSAL, STREAM_SELECTION, substream
@@ -34,7 +37,7 @@ from holosearch.search import (
 )
 from holosearch.slm import ModulationScheme, change_map, is_allowed, propose_value, quantise
 from holosearch.targets import TargetImage, normalize_energy, synthetic_bars, synthetic_mandrill
-from test_field import same_bytes
+from test_field import forced_blocks, same_bytes
 
 BINARY_PHASE = ModulationScheme("phase", 2)
 
@@ -401,6 +404,14 @@ def test_search_config_validation():
             SearchConfig(**{"iterations": 10, "scheme": BINARY_PHASE, **bad})
     counts = SearchConfig(iterations=np.int64(10), scheme=BINARY_PHASE, trace_stride=np.int32(2))
     assert counts.iterations == 10 and counts.trace_stride == 2
+    for t_coeff, t0, bad in ((True, True, "t_coeff"), (1.0, False, "t0"), ("1", 6.0, "t_coeff"),
+                             (1.0, "6", "t0"), (1 + 0j, 6.0, "t_coeff"), (np.bool_(True), 6.0, "t_coeff"),
+                             (1.0, [6.0], "t0")):
+        with pytest.raises(ValueError, match=f"^{bad} must be a real number"):
+            SearchConfig(iterations=10, scheme=BINARY_PHASE, algorithm=ALGO_SA, t_coeff=t_coeff, t0=t0)
+    for t_coeff, t0 in ((np.float64(0.5), np.float32(6.0)), (2, np.int64(3)), (np.int32(1), 6.0)):
+        knobs = SearchConfig(iterations=10, scheme=BINARY_PHASE, algorithm=ALGO_SA, t_coeff=t_coeff, t0=t0)
+        assert (knobs.t_coeff, knobs.t0) == (t_coeff, t0)
 
 
 def test_schedule_validation():
@@ -838,3 +849,48 @@ def test_run_search_other_schemes():
             iterations=100, scheme=scheme), seed=12)
         assert is_allowed(res.hologram, scheme)
         assert res.final_mse <= res.initial_mse
+
+
+# ------------------------------------------------------ threads and blocks
+
+
+def search_outcome(result):
+    return (result.hologram.tobytes(), result.accepted, result.final_mse, result.initial_mse,
+            [tuple(sample) for sample in result.trace.samples])
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_two_searches_on_two_threads_keep_their_bytes(split, monkeypatch):
+    """Searches on different threads of one process do not share scratch:
+    the random and sps arms of a 128^2 binary-phase ds-fast run and of a 64^2
+    phase:8 sa run, mapped over two threads, give the serial holograms,
+    accept counts, traces and errors exactly, with the loop split off and
+    forced on."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_MIN_LOOP_BLOCK", 1 if split else 1 << 62, raising=False)
+    for resolution, scheme, algorithm in ((128, "binary-phase", ALGO_DS_FAST), (64, "phase:8", ALGO_SA)):
+        base = ExperimentConfig(resolution=resolution, iterations=2000, algorithm=algorithm,
+                                scheme=ModulationScheme.from_name(scheme))
+        target = prepare_target(base)
+        configs = [dataclasses.replace(base, selection=s).search_config() for s in (SELECT_RANDOM, SELECT_SPS)]
+        serial = [search_outcome(run_search(target, c, 0)) for c in configs]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = [search_outcome(r) for r in pool.map(lambda c: run_search(target, c, 0), configs)]
+        assert threaded == serial, (resolution, scheme)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_split_search_gives_the_inline_bytes(cores):
+    """A 64^2 sps ds-fast search and a 64^2 phase:8 sa search, with every
+    loop kernel split over 2 or 3 blocks, give the hologram, replay, trace
+    and errors of the search run inline."""
+    for scheme, algorithm, selection in (("binary-phase", ALGO_DS_FAST, SELECT_SPS),
+                                         ("phase:8", ALGO_SA, SELECT_RANDOM)):
+        cfg = ExperimentConfig(resolution=64, iterations=3000, algorithm=algorithm, selection=selection,
+                               scheme=ModulationScheme.from_name(scheme), symmetry=True)
+        target = prepare_target(cfg)
+        want = run_search(target, cfg.search_config(), 3)
+        with forced_blocks(cores):
+            got = run_search(target, cfg.search_config(), 3)
+        assert search_outcome(got) == search_outcome(want)
+        assert same_bytes(got.replay, want.replay)

@@ -73,6 +73,8 @@ RUNS = (
     ("render", "--resolution", "1024", "--selection", "sps", "--scheme", "phase:8", "--iterations", "200"),
     # samples a grid whose whole-grid quantise would run in split tiles
     ("scatter", "--resolution", "1024", "--scheme", "phase:cont", "--scatter-samples", "200"),
+    # ab-ds-binary-512's shape: the search loop splits its rows, the set-up does not
+    ("run-ab", "--resolution", "512", "--symmetry", "--iterations", "500"),
     # fails: a custom schedule needs both --t-coeff and --t0
     ("run-ab", "--resolution", "64", "--algorithm", "sa", "--t0", "3"),
 )
