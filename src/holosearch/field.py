@@ -22,19 +22,28 @@ added. A search rolls a rejected move back by passing it as the next call's
 ``undo``, so taking it out costs no pass of its own; :func:`revert` takes
 back a move that no later update will.
 
-Large kernels work in contiguous row blocks, one per usable core
-(:func:`_split_rows`): the set-up kernels (:func:`unit_phasors`,
-:func:`dft2`, :func:`idft2`, the synthetic texture's transform, and through
-``slm._split_tiles`` ``slm.quantise`` and ``slm.change_map``) from
-``2 * _MIN_BLOCK`` elements, and the search loop's two kernels (the replay
-update of :func:`delta_update` and :func:`revert`, and the magnitude pass of
-``metrics.mse``'s energy form) from ``2 * _MIN_LOOP_BLOCK``. The calling
-thread runs the first block and every block that no persistent helper thread
-has taken. Every element is still computed by the same numpy call on the
-same values, so the bytes do not depend on the number of blocks or on the
-thread that ran each; smaller work is one block, run on the calling thread.
-The transforms are numpy's own 1-D passes, written through ``out=``, which
-``numpy.fft`` takes from numpy 2.0 on.
+Large kernels work in contiguous row blocks (:func:`_split_rows`). The
+set-up kernels (:func:`unit_phasors`, :func:`dft2`, :func:`idft2`, the
+synthetic texture's transform, and through ``slm._split_tiles``
+``slm.quantise`` and ``slm.change_map``) split from ``2 * _MIN_BLOCK``
+elements, one block per usable core. The search loop's two kernels (the
+replay update of :func:`delta_update` and :func:`revert`, and the scoring
+pass of ``metrics.mse``'s energy form) split from ``2 * _MIN_LOOP_BLOCK``
+elements into exactly two blocks, whose bounds follow the rows and elements
+alone. The calling thread runs the first block and every block that no
+persistent helper thread has taken; there are at most one fewer helpers
+than usable cores, so on one core the caller runs every block. The update
+and the set-up kernels compute every element by the same numpy call on the
+same values, so their bytes do not depend on the blocks. The scoring pass
+also takes one dot product per block, and the error adds the two in block
+order, so its bytes follow the two fixed blocks, never the core count or
+the thread that ran a block. Smaller work is one block, run on the calling
+thread. The transforms are numpy's own 1-D passes, written through
+``out=``, which ``numpy.fft`` takes from numpy 2.0 on.
+
+The core count is read once per process, at import and again in a forked
+child. A candidate's twiddles are a slice of a per-size table of every
+position's twiddle row, for axis lengths up to ``_TWIDDLE_TABLE_MAX``.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ import numpy as np
 _MIN_BLOCK = 1 << 19
 
 # The same floor for the search loop's kernels: the replay update and the
-# magnitude pass of the energy-form error. A loop block is one or two numpy
+# scoring pass of the energy-form error. A loop block is one or two numpy
 # calls, where a set-up tile makes about 13, so a second thread pays from far
 # smaller grids: on a 2-vCPU KVM guest, a split made a search on a 128^2
 # complex aperture (16k elements) about half as fast and one on a 256^2
@@ -72,20 +81,29 @@ _MIN_LOOP_BLOCK = 1 << 15
 _HEAD_START = 1 << 14
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on."""
+def _read_cores() -> int:
+    """Cores this process may run on, from its CPU affinity."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on, as read at import or, in a forked
+    child, at the fork (:func:`_forget_helpers`)."""
+    return _cores
+
+
 def _block_count(rows: int, elements: int, loop: bool = False) -> int:
     """Blocks :func:`_split_rows` cuts ``rows`` into for work on
-    ``elements`` elements: min(usable cores, ``elements // floor``, rows),
-    and at least 1. The floor is ``_MIN_LOOP_BLOCK`` for a ``loop`` kernel
-    and ``_MIN_BLOCK`` for the others."""
-    k = min(rows, elements // (_MIN_LOOP_BLOCK if loop else _MIN_BLOCK))
-    return min(k, _usable_cores()) if k > 1 else 1
+    ``elements`` elements, at least 1: for a ``loop`` kernel min(2,
+    ``elements // _MIN_LOOP_BLOCK``, rows), whatever the core count, and for
+    the others min(usable cores, ``elements // _MIN_BLOCK``, rows)."""
+    if loop:
+        k = min(rows, elements // _MIN_LOOP_BLOCK, 2)
+    else:
+        k = min(rows, elements // _MIN_BLOCK, _usable_cores())
+    return max(k, 1)
 
 
 class _Job:
@@ -117,12 +135,15 @@ class _Job:
 
 
 def _forget_helpers() -> None:
-    """Start with no helper thread and an empty queue: at import, and in a
-    forked child, which has none of its parent's threads."""
-    global _jobs, _helpers, _helpers_lock
+    """Start with no helper thread, an empty queue, leave to start helpers
+    and the process's own core count: at import, and in a forked child,
+    which has none of its parent's threads and may have other cores."""
+    global _jobs, _helpers, _helpers_lock, _start_failed, _cores
     _jobs = queue.SimpleQueue()
     _helpers = []
     _helpers_lock = threading.Lock()
+    _start_failed = False
+    _cores = _read_cores()
 
 
 _forget_helpers()
@@ -139,15 +160,19 @@ def _help(jobs: queue.SimpleQueue) -> None:
 
 def _offer(jobs: list[_Job]) -> None:
     """Queue ``jobs`` for the helpers, first starting helpers up to one per
-    job. A helper that cannot start is tried again at the next split; with
-    no helper at all nothing is queued, and the caller runs every block."""
-    if len(_helpers) < len(jobs):
+    job and one fewer than the usable cores. Once a helper has failed to
+    start, none is tried again until a fork resets the pool; with no helper
+    at all nothing is queued, and the caller runs every block."""
+    global _start_failed
+    wanted = min(len(jobs), _usable_cores() - 1)
+    if len(_helpers) < wanted and not _start_failed:
         with _helpers_lock:
-            while len(_helpers) < len(jobs):
+            while len(_helpers) < wanted and not _start_failed:
                 thread = threading.Thread(target=_help, args=(_jobs,), daemon=True)
                 try:
                     thread.start()
                 except RuntimeError:  # no thread to spare
+                    _start_failed = True
                     break
                 _helpers.append(thread)
     if _helpers:
@@ -161,15 +186,17 @@ def _split_rows(rows: int, elements: int, fn: Callable[[slice], None], loop: boo
     There are k = :func:`_block_count` blocks; for k = 1 this is the one
     call ``fn(slice(0, rows))``. Otherwise block 0 is ``_HEAD_START``
     elements larger than the others, which are of near-equal size (every
-    block keeps at least one row), and blocks 1 .. k-1 are offered to
-    persistent daemon helper threads, one per extra block, started on the
-    first split that needs them. The calling thread runs block 0, then
-    every offered block no helper has claimed yet, and waits only for blocks
-    a helper is running, so a busy or absent helper costs about a run on one
-    thread, and a split inside a block cannot deadlock. Each offered block
-    runs in a copy of the caller's context (so numpy's error state carries
-    over). Every block has run when this returns, and the exception of the
-    lowest-numbered block that raised is re-raised here.
+    block keeps at least one row), so the bounds follow ``rows``,
+    ``elements`` and k alone. Blocks 1 .. k-1 are offered to persistent
+    daemon helper threads, one per extra block up to one fewer than the
+    usable cores, started on the first split that needs them. The calling
+    thread runs block 0, then every offered block no helper has claimed yet,
+    and waits only for blocks a helper is running, so a busy or absent
+    helper costs about a run on one thread, and a split inside a block
+    cannot deadlock. Each offered block runs in a copy of the caller's
+    context (so numpy's error state carries over). Every block has run when
+    this returns, and the exception of the lowest-numbered block that
+    raised is re-raised here.
 
     ``fn`` must write its results into arrays the caller allocated (numpy
     releases the interpreter lock there, so blocks run in parallel), keep its
@@ -370,9 +397,33 @@ def _roots(n: int) -> np.ndarray:
     return w
 
 
+# Largest axis length n whose twiddles come from :func:`_twiddle_table`, of
+# 16 n^2 bytes: 1 MiB at 256. A 512 table would add 4 MiB (+6%) to the 66 MiB
+# peak RSS of a 512^2 binary A/B run, whose twiddles are a small part of a
+# candidate; above the cap each call gathers its own.
+_TWIDDLE_TABLE_MAX = 256
+
+
+@lru_cache(maxsize=None)
+def _twiddle_table(n: int) -> np.ndarray:
+    """Table ``T[pos, k] = _roots(n)[(pos*k) % n]`` of every position's
+    twiddle row, for pos, k = 0..n-1. Shared, read-only, and mapped outside
+    the malloc heap like :func:`_roots`."""
+    table = np.frombuffer(mmap.mmap(-1, 16 * n * n), dtype=np.complex128).reshape(n, n)
+    k = np.arange(n)
+    np.take(_roots(n), np.multiply.outer(k, k) % n, out=table)
+    table.setflags(write=False)
+    return table
+
+
 def _twiddles(pos: int, n: int, count: int) -> np.ndarray:
-    """exp(-2j*pi*pos*k/n) for k = 0..count-1, read from the roots table as
-    ``W[(pos*k) % n]`` so the angle never grows with k."""
+    """exp(-2j*pi*pos*k/n) for k = 0..count-1 (count <= n), read from the
+    roots table as ``W[(pos*k) % n]`` so the angle never grows with k. Up to
+    ``_TWIDDLE_TABLE_MAX`` this is a read-only slice of
+    :func:`_twiddle_table`, which holds the same values bit for bit; above
+    it, a new array gathered from :func:`_roots`."""
+    if n <= _TWIDDLE_TABLE_MAX:
+        return _twiddle_table(n)[pos, :count]
     return _roots(n)[(pos * np.arange(count)) % n]
 
 
@@ -479,13 +530,13 @@ def delta_update(replay: np.ndarray, x: int, y: int, dh: complex, rows: int | No
 
     which is exactly the transform of a field that is ``dh`` at (x, y) and zero
     elsewhere. Cost is O(Nx*Ny) against O(Nx*Ny*log(Nx*Ny)) for a fresh
-    transform. The twiddles come from a cached table of the Nx-th and Ny-th
-    roots of unity, and the increment is computed and added one row tile at a
-    time (:func:`_add_product`), so it never exists as a grid-sized array.
-    A large update splits its rows over the usable cores, with the bytes of
-    one block. Calls on different replays may run on different threads at
-    once: each thread multiplies into its own scratch. One replay must not
-    be updated from two threads at once.
+    transform. The twiddles come from cached tables of the Nx-th and Ny-th
+    roots of unity (:func:`_twiddles`), and the increment is computed and
+    added one row tile at a time (:func:`_add_product`), so it never exists
+    as a grid-sized array. A large update splits its rows in two blocks,
+    with the bytes of one. Calls on different replays may run on different
+    threads at once: each thread multiplies into its own scratch. One
+    replay must not be updated from two threads at once.
 
     With ``rows`` given, only rows ``0 .. rows-1`` are updated and the other
     rows are left untouched; a Hermitian field needs no more than

@@ -18,6 +18,14 @@ the rows that are their own reflection (row 0, and row Ny/2 when Ny is even)
 and 1 elsewhere. This holds for any target, symmetric or not. E is the
 aperture's energy by Parseval, which a one-pixel change moves by
 ``|new|^2 - |old|^2``.
+
+Below ``2 * field._MIN_LOOP_BLOCK`` elements the cross term is one
+magnitude pass and one dot product. From there each of the two fixed row
+blocks of ``field._split_rows`` writes its rows' magnitudes and takes their
+dot product with the target's rows while both are in its core's cache, and
+the cross term is the block 0 product plus the block 1 product, in that
+order. The bounds follow the grid alone, so the bytes depend neither on
+the core count nor on the thread that ran a block.
 """
 
 from __future__ import annotations
@@ -44,13 +52,13 @@ def fold_target(target_mag: np.ndarray, hermitian: bool = True) -> FoldedTarget:
     For a Hermitian replay, returns the (Ny//2 + 1, Nx) folded array ``T_f``,
     the target's energy ``sum(T^2)`` and its pixel count, which :func:`mse`
     needs to score the field from its leading rows alone. With ``hermitian``
-    False the "folded" array is the (Ny, Nx) target itself, scored against
-    every row.
+    False the "folded" array is the (Ny, Nx) target itself (C-contiguous,
+    copied only if it was not), scored against every row.
     """
     flat = target_mag.ravel()
     energy, size = float(flat @ flat), flat.size
     if not hermitian:
-        return FoldedTarget(target_mag, energy, size)
+        return FoldedTarget(np.ascontiguousarray(target_mag), energy, size)
     ny, nx = target_mag.shape
     rows = half_rows(ny)
     folded = np.empty((rows, nx))
@@ -85,17 +93,22 @@ def mse(target_mag: np.ndarray | FoldedTarget, replay: np.ndarray, energy: float
         folded = target_mag
         if folded.folded.shape != replay.shape:
             raise ValueError(f"shape mismatch: folded target {folded.folded.shape} vs rows {replay.shape}")
-        # A large magnitude pass splits its rows over the usable cores; a
-        # small one is the one call, as a split costs small grids more than
-        # the pass. The one dot product stays on this thread, so the sum is
-        # formed as in one block.
-        rows = replay.shape[0]
+        # A small grid is one pass and one dot, as a split costs it more
+        # than the pass. A large one is scored in two row blocks, each
+        # writing into the arrays allocated here; see the module docstring.
+        rows, target = replay.shape[0], folded.folded
         if _block_count(rows, replay.size, loop=True) == 1:
-            magnitude = np.abs(replay)
+            cross = np.abs(replay).ravel() @ target.ravel()
         else:
             magnitude = np.empty(replay.shape)
-            _split_rows(rows, replay.size, lambda part: np.abs(replay[part], out=magnitude[part]), loop=True)
-        cross = magnitude.ravel() @ folded.folded.ravel()
+            partial = np.empty(2)
+
+            def score(part: slice) -> None:
+                np.abs(replay[part], out=magnitude[part])
+                np.dot(magnitude[part].ravel(), target[part].ravel(), out=partial[0 if part.start == 0 else 1, ...])
+
+            _split_rows(rows, replay.size, score, loop=True)
+            cross = partial[0] + partial[1]
         return float((energy - 2.0 * cross + folded.energy) / folded.size)
     if target_mag.shape != replay.shape:
         raise ValueError(f"shape mismatch: target {target_mag.shape} vs replay {replay.shape}")

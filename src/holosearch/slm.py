@@ -236,22 +236,32 @@ def change_map(original, quantised) -> np.ndarray:
     return _split_tiles(lambda x, y: np.abs(y - x), a, b, dtype=np.float64)
 
 
+@lru_cache(maxsize=None)
+def _other_levels(scheme: ModulationScheme) -> dict[complex, tuple[complex, ...]]:
+    """For each level of a discrete scheme, ``table[table != level]``: the
+    other entries in table order, as Python complex numbers."""
+    table = scheme.allowed_values()
+    return {complex(v): tuple(complex(u) for u in table[table != v]) for v in table}
+
+
 def propose_value(current: complex, scheme: ModulationScheme, rng: np.random.Generator) -> complex:
     """Draw a replacement value for a pixel currently holding an allowed value.
 
     Discrete schemes return one of the other n-1 table entries uniformly, in
     table order, with exactly one integer draw; a binary scheme needs no
-    randomness at all and consumes none. Continuous phase draws a uniform
-    angle in [0, 2*pi); continuous amplitude draws uniformly in [0, 1); both
-    redraw in the measure-zero event of landing within 1e-12 of the current
-    value, so the proposal never equals what is already there.
+    randomness at all and consumes none. The other entries of each level
+    are cached per scheme. Continuous phase draws a uniform angle in
+    [0, 2*pi); continuous amplitude draws uniformly in [0, 1); both redraw
+    in the measure-zero event of landing within 1e-12 of the current value,
+    so the proposal never equals what is already there.
     """
     if scheme.levels is not None:
-        table = scheme.allowed_values()
+        others = _other_levels(scheme).get(current)
+        if others is None:  # not a level, so every entry is another
+            others = tuple(complex(v) for v in scheme.allowed_values())
         if scheme.levels == 2:
-            return complex(table[1] if current == table[0] else table[0])
-        others = table[table != current]
-        return complex(others[rng.integers(scheme.levels - 1)])
+            return others[0]
+        return others[rng.integers(scheme.levels - 1)]
     if scheme.kind == PHASE:
         while True:
             t = rng.uniform(0.0, 2.0 * np.pi)

@@ -459,6 +459,36 @@ def test_split_search_runs_in_a_forked_child(monkeypatch):
     assert _digest_in_forked_child(_search_digest) == want
 
 
+def _send_cores(conn) -> None:
+    conn.send((field._usable_cores(), field._start_failed))
+    conn.close()
+
+
+def test_forked_child_reads_its_own_core_count(monkeypatch):
+    """The core count is read once per process: the parent keeps the count
+    it holds, and a child forked from it reads the count again from its own
+    CPU affinity, with leave to start helpers again."""
+    monkeypatch.setattr(field, "_cores", 99)
+    monkeypatch.setattr(field, "_start_failed", True)
+    assert field._usable_cores() == 99
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_cores, args=(sender,))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(60), "the forked child sent nothing within 60 s"
+        got = receiver.recv()
+    finally:
+        child.join(30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+    assert got == (field._read_cores(), False)
+    assert field._usable_cores() == 99
+
+
 @pytest.mark.parametrize("scheme", ["binary-phase", "phase:8"])
 def test_set_up_under_the_split_floor_starts_no_thread(monkeypatch, scheme):
     """Grids under 1024^2 run inline: the set-up kernels of a 512^2 sps

@@ -322,6 +322,22 @@ def test_delta_update_table_twiddles_match_exp(shape):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(n=st.sampled_from([2, 3, 7, 64, 255, field._TWIDDLE_TABLE_MAX, field._TWIDDLE_TABLE_MAX + 1, 384, 1024]),
+       pos=st.integers(0, 1 << 12), count=st.integers(1, 1 << 12))
+def test_twiddles_equal_the_gathered_roots(n, pos, count):
+    """_twiddles gives ``_roots(n)[(pos*k) % n]`` for k < count bit for bit,
+    below, at and above the table's cap: a read-only slice of the table up
+    to the cap, a new gather above it."""
+    pos, count = pos % n, 1 + (count - 1) % n
+    got = field._twiddles(pos, n, count)
+    assert same_bytes(got, field._roots(n)[(pos * np.arange(count)) % n])
+    if n <= field._TWIDDLE_TABLE_MAX:
+        assert not got.flags.writeable and np.shares_memory(got, field._twiddle_table(n))
+    else:
+        assert got.flags.writeable
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(height=st.integers(2, 13), width=st.integers(2, 13), real=st.booleans(), leading=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_delta_update_undo_leaves_only_the_new_move(height, width, real, leading, seed):
@@ -398,9 +414,10 @@ SCHEMES = [ModulationScheme.from_name(name) for name in (
 
 @contextlib.contextmanager
 def forced_blocks(k, tile=None):
-    """Split every kernel, the search loop's included, into min(k, rows)
-    blocks of near-equal size, whatever the grid size and the host, and
-    quantise/change_map into tiles of ``tile`` elements."""
+    """Split every kernel, whatever the grid size, over k usable cores, into
+    blocks of near-equal size: a set-up kernel into min(k, rows) blocks and
+    a search-loop kernel into min(2, rows), and quantise/change_map into
+    tiles of ``tile`` elements."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "_usable_cores", lambda: k)
         mp.setattr(field, "_MIN_BLOCK", 1)
@@ -416,10 +433,12 @@ def fresh_helpers(loop=None):
     """A helper pool of the block's own: no helper thread and an empty queue
     at its start. With ``loop`` given, each helper started in the block runs
     ``loop(jobs)`` in place of the package's loop. Helpers started in the
-    block outlive it, idle on a queue nothing offers to again."""
+    block outlive it, idle on a queue nothing offers to again. A helper
+    that fails to start in the block stops no start after it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "_jobs", queue.SimpleQueue())
         mp.setattr(field, "_helpers", [])
+        mp.setattr(field, "_start_failed", False)
         if loop is not None:
             mp.setattr(field, "_help", loop)
         yield
@@ -564,16 +583,22 @@ def test_split_rows_runs_small_work_inline(monkeypatch):
 
 def test_split_rows_gives_the_caller_a_head_start(monkeypatch):
     """Block 0 is _HEAD_START elements larger than the others, which differ
-    by at most a row, and no block is left empty."""
+    by at most a row, and no block is left empty. A set-up kernel cuts one
+    block per usable core; a loop kernel cuts two, on any number of cores,
+    with bounds that follow the rows and elements alone."""
+    monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     monkeypatch.setattr(field, "_MIN_LOOP_BLOCK", 1)
-    for cores, rows, width in ((2, 256, 256), (2, 257, 512), (3, 100, 1000), (3, 5, 1 << 20), (2, 2, 1 << 20), (3, 5, 1)):
+    for cores, rows, width in ((2, 256, 256), (2, 257, 512), (3, 100, 1000), (3, 5, 1 << 20), (2, 2, 1 << 20),
+                               (3, 5, 1), (1, 256, 256), (1, 7, 1)):
         monkeypatch.setattr(field, "_usable_cores", lambda: cores)
-        blocks = []
-        field._split_rows(rows, rows * width, blocks.append, loop=True)
-        sizes = [b.stop - b.start for b in sorted(blocks, key=lambda b: b.start)]
-        assert sum(sizes) == rows and len(sizes) == cores and min(sizes) >= 1
-        head = min(rows - cores, rows * field._HEAD_START // (rows * width))
-        assert abs(sizes[0] - head - sizes[1]) <= 1 and max(sizes[1:]) - min(sizes[1:]) <= 1
+        for loop, count in ((False, cores), (True, 2)):
+            blocks = []
+            field._split_rows(rows, rows * width, blocks.append, loop=loop)
+            sizes = [b.stop - b.start for b in sorted(blocks, key=lambda b: b.start)]
+            assert sum(sizes) == rows and len(sizes) == count and min(sizes) >= 1
+            if count > 1:
+                head = min(rows - count, rows * field._HEAD_START // (rows * width))
+                assert abs(sizes[0] - head - sizes[1]) <= 1 and max(sizes[1:]) - min(sizes[1:]) <= 1
 
 
 def test_split_kernels_leave_no_thread_behind(monkeypatch):
@@ -609,8 +634,9 @@ def test_split_kernels_leave_no_thread_behind(monkeypatch):
 
 def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
     """With no helper able to start, the calling thread runs every block and
-    queues none; with only one able to start, that one and the caller run
-    them. A kernel split either way keeps its bytes."""
+    queues none, and after the first failed start no split tries another;
+    with only one able to start, that one and the caller run them. A kernel
+    split either way keeps its bytes."""
     rng = np.random.default_rng(8)
     f = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
     with forced_blocks(1):
@@ -632,7 +658,9 @@ def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
         field._split_rows(8, 8, lambda block: where.setdefault(block.start, threading.current_thread()))
         assert sorted(where) == [0, 2, 4, 6] and all(t is caller for t in where.values())
         assert field._helpers == [] and field._jobs.empty()
-        assert same_bytes(dft2(f), want)
+        for _ in range(3):
+            assert same_bytes(dft2(f), want)
+        assert len(calls) == 1
     failing = False
     calls.clear()
     with forced_blocks(3), fresh_helpers():
@@ -641,6 +669,8 @@ def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
         where = {}
         field._split_rows(9, 9, lambda block: where.setdefault(block.start, 0))
         assert sorted(where) == [0, 3, 6]
+        assert same_bytes(dft2(f), want)
+        assert len(calls) == 2
 
 
 # ------------------------------------------------------- loop kernels, split
@@ -649,63 +679,104 @@ LOOP_SHAPES = [(2, 2), (3, 5), (4, 7), (9, 4), (13, 6), (40, 3)]
 
 
 def loop_kernel_outputs(replay, holo, real, rows_kind):
-    """Replays and errors of a sequence of updates, undos and reverts, every
-    one scored in the energy form, as the fast search runs them."""
+    """The replay after each of a sequence of updates and undos and after a
+    final revert, and the energy-form error of each updated replay, as the
+    fast search runs them."""
     ny, nx = replay.shape
     rows = {"all": None, "half": half_rows(ny), "one": 1}[rows_kind]
-    k = ny if rows is None else rows
-    scored = fold_target(np.abs(holo)[:k], hermitian=False)
+    scored, k = scored_rows(holo, rows_kind)
     replay = replay.copy()
-    out = []
+    replays, errors = [], []
     pending = None
     for i, (x, y) in enumerate(((0, 0), (nx - 1, ny - 1), (nx // 2, ny // 3), (1 % nx, 1 % ny))):
         dh = 2.0 if real else complex(0.5, -1.5)
         move = delta_update(replay, x, y, dh * (i + 1), rows, undo=pending)
-        out.append(replay.copy())
-        out.append(mse(scored, replay[:k], energy=float(i + 3)))
+        replays.append(replay.copy())
+        errors.append(mse(scored, replay[:k], energy=float(i + 3)))
         pending = None if i == 1 else move
     if pending is not None:
         revert(replay, pending)
-    out.append(replay)
-    return out
+    replays.append(replay)
+    return replays, errors
+
+
+def scored_rows(holo, rows_kind):
+    """The target loop_kernel_outputs scores against, and its row count."""
+    ny = holo.shape[0]
+    k = {"all": ny, "half": half_rows(ny), "one": 1}[rows_kind]
+    return fold_target(np.abs(holo)[:k], hermitian=False), k
+
+
+def two_block_errors(replays, holo, rows_kind):
+    """The errors of loop_kernel_outputs as a split energy-form mse forms
+    them, computed here in one thread: from two rows on, the magnitudes of
+    the rows before and after the loop split's middle bound (under the
+    current ``_HEAD_START``) each dotted with the target's rows, block 0's
+    product plus block 1's."""
+    scored, k = scored_rows(holo, rows_kind)
+    target = scored.folded
+    errors = []
+    for i, replay in enumerate(replays[:-1]):
+        magnitude = np.abs(replay[:k])
+        if k < 2:
+            cross = magnitude.ravel() @ target.ravel()
+        else:
+            head = min(k - 2, k * field._HEAD_START // magnitude.size)
+            mid = head + (k - head) // 2
+            cross = magnitude[:mid].ravel() @ target[:mid].ravel() + magnitude[mid:].ravel() @ target[mid:].ravel()
+        errors.append(float((float(i + 3) - 2.0 * cross + scored.energy) / scored.size))
+    return errors
+
+
+def assert_loop_outputs(got, want_replays, holo, rows_kind):
+    """Replays with the bytes of one block, errors with those of the
+    two-block formula, bit for bit."""
+    replays, errors = got
+    assert len(replays) == len(want_replays)
+    assert all(same_bytes(a, b) for a, b in zip(replays, want_replays))
+    assert same_bytes(np.array(errors), np.array(two_block_errors(replays, holo, rows_kind)))
 
 
 @pytest.mark.parametrize("head", [0, None])
-@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @settings(derandomize=True, deadline=None, max_examples=12, database=None)
 @given(shape=st.sampled_from(LOOP_SHAPES), real=st.booleans(), rows_kind=st.sampled_from(["all", "half", "one"]),
        tile=st.sampled_from([16, 24, 48, 1 << 19]), seed=st.integers(0, 2**32 - 1))
 def test_loop_kernels_give_the_bytes_of_one_block(cores, head, shape, real, rows_kind, tile, seed):
     """delta_update (all rows, the half plane, one row; with and without
-    undo=), revert and the energy-form mse give the bytes of one block when
-    split over 2 or 3 blocks, near-equal or with the caller's head start (one
-    row per helper on these grids). Tiles of a few rows put merged last rows
-    and one-row blocks in the split."""
+    undo=) and revert give the bytes of one block when split in two, on 1, 2
+    or 3 usable cores, with near-equal blocks or the caller's head start;
+    the split energy-form mse gives the bytes of the two-block formula
+    computed inline at the same bounds, and one block the one dot. Tiles of
+    a few rows put merged last rows and one-row blocks in the split."""
     rng = np.random.default_rng(seed)
     holo = rng.standard_normal(shape) if real else random_field(rng, shape)
     replay = dft2(holo)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "_TILE_BYTES", tile * 2 * shape[1])  # tile rows = tile // 8, at least two
         mp.setattr(field, "_scratch", field._Scratch())
-        want = loop_kernel_outputs(replay, holo, real, rows_kind)
+        want, errors = loop_kernel_outputs(replay, holo, real, rows_kind)
+        scored, k = scored_rows(holo, rows_kind)
+        assert same_bytes(np.array(errors), np.array([
+            float((float(i + 3) - 2.0 * (np.abs(r[:k]).ravel() @ scored.folded.ravel()) + scored.energy) / scored.size)
+            for i, r in enumerate(want[:-1])]))
         mp.setattr(field, "_usable_cores", lambda: cores)
         mp.setattr(field, "_MIN_LOOP_BLOCK", 1)
         if head is not None:
             mp.setattr(field, "_HEAD_START", head)
-        got = loop_kernel_outputs(replay, holo, real, rows_kind)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert same_bytes(a, b)
+        assert_loop_outputs(loop_kernel_outputs(replay, holo, real, rows_kind), want, holo, rows_kind)
 
 
 def test_stalled_helper_leaves_every_block_to_the_caller(monkeypatch):
     """A helper that never claims a block costs no wait: the caller runs
-    every block, and every split kernel keeps its bytes."""
+    every block, every split set-up kernel and loop update keeps the bytes
+    of one block, and the split error those of the two-block formula."""
     rng = np.random.default_rng(9)
     f = random_field(rng, (12, 10))
     holo = rng.standard_normal((12, 10))
     with forced_blocks(1):
-        want = split_kernel_outputs(f, f.real, holo, 12) | {"loop": loop_kernel_outputs(dft2(holo), holo, True, "half")}
+        want = split_kernel_outputs(f, f.real, holo, 12)
+    want_replays, _ = loop_kernel_outputs(dft2(holo), holo, True, "half")
     with forced_blocks(3), fresh_helpers(stalled):
         callers, where, got = [], set(), {}
 
@@ -717,24 +788,25 @@ def test_stalled_helper_leaves_every_block_to_the_caller(monkeypatch):
         assert finishes(lambda: got.update(split_kernel_outputs(f, f.real, holo, 12)))
         assert finishes(lambda: got.update(loop=loop_kernel_outputs(dft2(holo), holo, True, "half")))
         assert len(field._helpers) == 2
+        assert_loop_outputs(got.pop("loop"), want_replays, holo, "half")
     assert where == set(callers)
     for name in want:
-        if name == "loop":
-            assert all(same_bytes(a, b) for a, b in zip(got[name], want[name]))
-        else:
-            assert same_bytes(got[name], want[name]), name
+        assert same_bytes(got[name], want[name]), name
 
 
 def test_split_loop_kernels_under_thread_stress(monkeypatch):
     """Four threads, more than the cores, each run updates and errors on a
-    replay of their own, every call split over three blocks, with the
-    interpreter switching threads every few microseconds: each ends with the
-    bytes it gets alone."""
+    replay of their own, every call split in two blocks over three usable
+    cores, with the interpreter switching threads every few microseconds:
+    each ends with the bytes it gets alone, and the replays with those of
+    one block. Some of the split errors differ from the unsplit ones in
+    their last bits, so the two-block formula is the one checked."""
     rng = np.random.default_rng(10)
     holos = [random_field(rng, (48, 40)) for _ in range(4)]
-    want = [loop_kernel_outputs(dft2(h), h, False, "all") for h in holos]
+    unsplit = [loop_kernel_outputs(dft2(h), h, False, "all") for h in holos]
     got = [None] * 4
     with forced_blocks(3):
+        want = [loop_kernel_outputs(dft2(h), h, False, "all") for h in holos]
         def work(i):
             for _ in range(40):
                 got[i] = loop_kernel_outputs(dft2(holos[i]), holos[i], False, "all")
@@ -750,8 +822,11 @@ def test_split_loop_kernels_under_thread_stress(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-    for i in range(4):
-        assert len(got[i]) == len(want[i]) and all(same_bytes(a, b) for a, b in zip(got[i], want[i])), i
+        for i in range(4):
+            assert_loop_outputs(want[i], unsplit[i][0], holos[i], "all")
+            assert_loop_outputs(got[i], unsplit[i][0], holos[i], "all")
+            assert same_bytes(np.array(got[i][1]), np.array(want[i][1])), i
+    assert any(a != b for i in range(4) for a, b in zip(want[i][1], unsplit[i][1]))
 
 
 def test_a_split_keeps_no_block_alive(monkeypatch):

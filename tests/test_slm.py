@@ -442,6 +442,29 @@ def test_propose_discrete_at_every_level(scheme):
         assert seen == set(range(n)) - {k}
 
 
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(kind=st.sampled_from(["phase", "amplitude"]), levels=st.integers(2, 16), seed=st.integers(0, 2**32 - 1),
+       current_index=st.integers(0, 15), proposals=st.integers(1, 8))
+def test_propose_value_equals_the_uncached_rule(kind, levels, seed, current_index, proposals):
+    """The cached other-level tables give what the rule they replace gives:
+    ``table[table != current][rng.integers(n - 1)]``, the same Python complex
+    value, with the generator left in the same state (for binary, the one
+    other entry and no draw). It holds from every level, also given as a
+    numpy scalar, and for a value outside the table."""
+    scheme = ModulationScheme(kind, levels)
+    table = scheme.allowed_values()
+    outside = complex(0.25, 0.5)
+    for current in (table[current_index % levels], complex(table[current_index % levels]), outside):
+        rng, twin = substream(seed, STREAM_PROPOSAL), substream(seed, STREAM_PROPOSAL)
+        for _ in range(proposals):
+            got = propose_value(current, scheme, rng)
+            others = table[table != current]
+            want = complex(others[0] if levels == 2 else others[twin.integers(levels - 1)])
+            assert type(got) is complex
+            assert same_bytes(np.complex128(got), np.complex128(want))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_propose_continuous():
     rng = substream(11, STREAM_PROPOSAL)
     for _ in range(200):

@@ -75,6 +75,8 @@ RUNS = (
     ("scatter", "--resolution", "1024", "--scheme", "phase:cont", "--scatter-samples", "200"),
     # ab-ds-binary-512's shape: the search loop splits its rows, the set-up does not
     ("run-ab", "--resolution", "512", "--symmetry", "--iterations", "500"),
+    # ab-sa-phase8-256's shape: a complex aperture whose loop splits, under annealing
+    ("run-ab", "--resolution", "256", "--algorithm", "sa", "--scheme", "phase:8", "--iterations", "2000"),
     # fails: a custom schedule needs both --t-coeff and --t0
     ("run-ab", "--resolution", "64", "--algorithm", "sa", "--t0", "3"),
 )
