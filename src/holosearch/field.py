@@ -22,24 +22,23 @@ added. A search rolls a rejected move back by passing it as the next call's
 ``undo``, so taking it out costs no pass of its own; :func:`revert` takes
 back a move that no later update will.
 
-Large kernels work in contiguous row blocks (:func:`_split_rows`). The
+Large kernels work in contiguous row blocks (:func:`_split_rows`): the
 set-up kernels (:func:`unit_phasors`, :func:`dft2`, :func:`idft2`, the
 synthetic texture's transform, and through ``slm._split_tiles``
-``slm.quantise`` and ``slm.change_map``) split from ``2 * _MIN_BLOCK``
-elements, one block per usable core. The search loop's two kernels (the
+``slm.quantise`` and ``slm.change_map``) and the search loop's two (the
 replay update of :func:`delta_update` and :func:`revert`, and the scoring
-pass of ``metrics.mse``'s energy form) split from ``2 * _MIN_LOOP_BLOCK``
-elements into exactly two blocks, whose bounds follow the rows and elements
-alone. The calling thread runs the first block and every block that no
-persistent helper thread has taken; there are at most one fewer helpers
-than usable cores, so on one core the caller runs every block. The update
-and the set-up kernels compute every element by the same numpy call on the
-same values, so their bytes do not depend on the blocks. The scoring pass
-also takes one dot product per block, and the error adds the two in block
-order, so its bytes follow the two fixed blocks, never the core count or
-the thread that ran a block. Smaller work is one block, run on the calling
-thread. The transforms are numpy's own 1-D passes, written through
-``out=``, which ``numpy.fft`` takes from numpy 2.0 on.
+pass of ``metrics.mse``'s energy form). Each splits into two row blocks
+from ``2 * _MIN_BLOCK`` elements and two rows, whose bounds follow the rows
+and elements alone, never the core count. The calling thread runs the
+first block, and the second too unless the one persistent helper thread
+has taken it; on one core there is no helper. The update and the set-up
+kernels compute every element by the same numpy call on the same values,
+so their bytes do not depend on the blocks. The scoring pass also takes
+one dot product per block, and the error adds the two in block order, so
+its bytes follow the two fixed blocks, never the core count or the thread
+that ran a block. Smaller work is one block, run on the calling thread.
+The transforms are numpy's own 1-D passes, written through ``out=``,
+which ``numpy.fft`` takes from numpy 2.0 on.
 
 The core count is read once per process, at import and again in a forked
 child. A candidate's twiddles are a slice of a per-size table of every
@@ -61,23 +60,17 @@ from typing import NamedTuple
 import numpy as np
 
 # Elements per block below which a kernel does not split: a kernel over N
-# elements runs in min(cores, N // _MIN_BLOCK) blocks. On a 2-core host a
-# second thread made the set-up of 256^2 and 512^2 grids slower and that of a
-# 1024^2 grid faster, so grids under 1024^2 run inline.
-_MIN_BLOCK = 1 << 19
+# elements in at least two rows runs in two blocks from N = 2 * _MIN_BLOCK,
+# and in one below. On a 2-vCPU KVM guest, with the helper thread already
+# awake, a split made a search on a 128^2 complex aperture (16k elements)
+# about half as fast and one on a 256^2 real aperture's half-plane (33k)
+# slower, and one on a 256^2 complex aperture (65k) or a 512^2 half-plane
+# (132k) faster; it also shortened the set-up of 256^2 and 512^2 grids.
+_MIN_BLOCK = 1 << 15
 
-# The same floor for the search loop's kernels: the replay update and the
-# scoring pass of the energy-form error. A loop block is one or two numpy
-# calls, where a set-up tile makes about 13, so a second thread pays from far
-# smaller grids: on a 2-vCPU KVM guest, a split made a search on a 128^2
-# complex aperture (16k elements) about half as fast and one on a 256^2
-# real aperture's half-plane (33k) slower, and one on a 256^2 complex
-# aperture (65k) or a 512^2 half-plane (132k) faster.
-_MIN_LOOP_BLOCK = 1 << 15
-
-# Elements the calling thread works through while a helper thread wakes up
-# (15-20 us on that guest): the caller's block is larger than each helper's
-# by this much, so that the caller seldom waits for a helper.
+# Elements the calling thread works through while the helper thread wakes up
+# (15-20 us on that guest): the caller's block is larger than the helper's
+# by this much, so that the caller seldom waits for the helper.
 _HEAD_START = 1 << 14
 
 
@@ -90,26 +83,22 @@ def _read_cores() -> int:
 
 def _usable_cores() -> int:
     """Cores this process may run on, as read at import or, in a forked
-    child, at the fork (:func:`_forget_helpers`)."""
+    child, at the fork (:func:`_forget_helpers`). With one, no helper
+    thread starts."""
     return _cores
 
 
-def _block_count(rows: int, elements: int, loop: bool = False) -> int:
+def _block_count(rows: int, elements: int) -> int:
     """Blocks :func:`_split_rows` cuts ``rows`` into for work on
-    ``elements`` elements, at least 1: for a ``loop`` kernel min(2,
-    ``elements // _MIN_LOOP_BLOCK``, rows), whatever the core count, and for
-    the others min(usable cores, ``elements // _MIN_BLOCK``, rows)."""
-    if loop:
-        k = min(rows, elements // _MIN_LOOP_BLOCK, 2)
-    else:
-        k = min(rows, elements // _MIN_BLOCK, _usable_cores())
-    return max(k, 1)
+    ``elements`` elements: two from two rows and ``2 * _MIN_BLOCK``
+    elements, otherwise one."""
+    return 2 if rows >= 2 and elements >= 2 * _MIN_BLOCK else 1
 
 
 class _Job:
-    """One block of a split. Whichever thread takes its lock first runs it,
-    a helper or the caller that offered it, and holds the lock until the
-    block is done."""
+    """The second block of a split. Whichever thread takes its lock first
+    runs it, the helper or the caller that offered it, and holds the lock
+    until the block is done."""
 
     __slots__ = ("call", "lock", "error")
 
@@ -135,13 +124,14 @@ class _Job:
 
 
 def _forget_helpers() -> None:
-    """Start with no helper thread, an empty queue, leave to start helpers
-    and the process's own core count: at import, and in a forked child,
-    which has none of its parent's threads and may have other cores."""
-    global _jobs, _helpers, _helpers_lock, _start_failed, _cores
+    """Start with no helper thread, an empty queue, leave to start the
+    helper and the process's own core count: at import, and in a forked
+    child, which has none of its parent's threads and may have other
+    cores."""
+    global _jobs, _helper, _helper_lock, _start_failed, _cores
     _jobs = queue.SimpleQueue()
-    _helpers = []
-    _helpers_lock = threading.Lock()
+    _helper = None
+    _helper_lock = threading.Lock()
     _start_failed = False
     _cores = _read_cores()
 
@@ -152,51 +142,46 @@ if hasattr(os, "register_at_fork"):
 
 
 def _help(jobs: queue.SimpleQueue) -> None:
-    """A helper thread's loop: take each offered block in turn and run it
+    """The helper thread's loop: take each offered block in turn and run it
     if the caller has not. It holds no job while it waits for the next."""
     while True:
         jobs.get().take()
 
 
-def _offer(jobs: list[_Job]) -> None:
-    """Queue ``jobs`` for the helpers, first starting helpers up to one per
-    job and one fewer than the usable cores. Once a helper has failed to
-    start, none is tried again until a fork resets the pool; with no helper
-    at all nothing is queued, and the caller runs every block."""
-    global _start_failed
-    wanted = min(len(jobs), _usable_cores() - 1)
-    if len(_helpers) < wanted and not _start_failed:
-        with _helpers_lock:
-            while len(_helpers) < wanted and not _start_failed:
+def _offer(job: _Job) -> None:
+    """Queue ``job`` for the helper thread, first starting it if there is
+    none yet and more than one usable core. Once it has failed to start,
+    no start is tried again until a fork resets it; with no helper nothing
+    is queued, and the caller runs the block."""
+    global _helper, _start_failed
+    if _helper is None and not _start_failed and _usable_cores() > 1:
+        with _helper_lock:
+            if _helper is None and not _start_failed:
                 thread = threading.Thread(target=_help, args=(_jobs,), daemon=True)
                 try:
                     thread.start()
+                    _helper = thread
                 except RuntimeError:  # no thread to spare
                     _start_failed = True
-                    break
-                _helpers.append(thread)
-    if _helpers:
-        for job in jobs:
-            _jobs.put(job)
+    if _helper is not None:
+        _jobs.put(job)
 
 
-def _split_rows(rows: int, elements: int, fn: Callable[[slice], None], loop: bool = False) -> None:
+def _split_rows(rows: int, elements: int, fn: Callable[[slice], None]) -> None:
     """Call ``fn(block)`` for contiguous slices that cover ``range(rows)``.
 
-    There are k = :func:`_block_count` blocks; for k = 1 this is the one
-    call ``fn(slice(0, rows))``. Otherwise block 0 is ``_HEAD_START``
-    elements larger than the others, which are of near-equal size (every
-    block keeps at least one row), so the bounds follow ``rows``,
-    ``elements`` and k alone. Blocks 1 .. k-1 are offered to persistent
-    daemon helper threads, one per extra block up to one fewer than the
-    usable cores, started on the first split that needs them. The calling
-    thread runs block 0, then every offered block no helper has claimed yet,
-    and waits only for blocks a helper is running, so a busy or absent
-    helper costs about a run on one thread, and a split inside a block
-    cannot deadlock. Each offered block runs in a copy of the caller's
-    context (so numpy's error state carries over). Every block has run when
-    this returns, and the exception of the lowest-numbered block that
-    raised is re-raised here.
+    Below :func:`_block_count`'s floor this is the one call ``fn(slice(0,
+    rows))``. Otherwise there are two blocks, the first ``_HEAD_START``
+    elements larger than the second (each keeps at least one row), so the
+    bounds follow ``rows`` and ``elements`` alone. The second is offered to
+    the persistent daemon helper thread, started on the first split that
+    needs it. The calling thread runs the first block, then the second if
+    the helper has not claimed it yet, and waits only for a block the helper
+    is running, so a busy or absent helper costs about a run on one thread,
+    and a split inside a block cannot deadlock. The offered block runs in a
+    copy of the caller's context (so numpy's error state carries over).
+    Both blocks have run when this returns, and the first block's exception,
+    or else the second's, is re-raised here.
 
     ``fn`` must write its results into arrays the caller allocated (numpy
     releases the interpreter lock there, so blocks run in parallel), keep its
@@ -204,28 +189,24 @@ def _split_rows(rows: int, elements: int, fn: Callable[[slice], None], loop: boo
     helpers: no function that splits work itself and nothing a profiler may
     have wrapped.
     """
-    k = _block_count(rows, elements, loop)
-    if k == 1:
+    if _block_count(rows, elements) == 1:
         fn(slice(0, rows))
         return
-    head = min(rows - k, rows * _HEAD_START // elements)
-    bounds = [0] + [head + (rows - head) * i // k for i in range(1, k + 1)]
-    jobs = [_Job(partial(contextvars.copy_context().run, fn, slice(bounds[i], bounds[i + 1])))
-            for i in range(1, k)]
-    _offer(jobs)
-    errors: list[BaseException | None] = [None]
+    head = min(rows - 2, rows * _HEAD_START // elements)
+    mid = head + (rows - head) // 2
+    job = _Job(partial(contextvars.copy_context().run, fn, slice(mid, rows)))
+    _offer(job)
+    first = None
     try:
-        fn(slice(0, bounds[1]))
-    except BaseException as exc:  # re-raised once every block has run
-        errors[0] = exc
-    for job in jobs:
-        if not job.take():
-            with job.lock:  # a helper is running it
-                pass
-        errors.append(job.error)
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        fn(slice(0, mid))
+    except BaseException as exc:  # re-raised once both blocks have run
+        first = exc
+    if not job.take():
+        with job.lock:  # the helper is running it
+            pass
+    error = first if first is not None else job.error
+    if error is not None:
+        raise error
 
 
 def as_field(data) -> np.ndarray:
@@ -481,8 +462,8 @@ def _add_product(replay: np.ndarray, p: np.ndarray, w: np.ndarray) -> None:
     In float64 views this is one real matmul, ``(rows x 2m) @ (2m x 2Nx)``:
     with ``p = a + ib`` and ``w[2j] = c + id``, row ``[a, b]`` times the
     columns ``[c, -d]`` and ``[d, c]`` gives ``ac - bd`` and ``ad + bc``, the
-    real and imaginary parts of the product. A large product splits its rows
-    into loop blocks (:func:`_split_rows`); a small one is the one call.
+    real and imaginary parts of the product, in the row blocks of
+    :func:`_split_rows`.
     """
     rows = p.shape[0]
     pf = p.view(np.float64)
@@ -492,11 +473,7 @@ def _add_product(replay: np.ndarray, p: np.ndarray, w: np.ndarray) -> None:
         pf = np.concatenate((pf, pf))
     wf = w.view(np.float64)
     rf = replay.view(np.float64)
-    elements = rows * replay.shape[1]
-    if _block_count(rows, elements, loop=True) == 1:
-        _add_rows(rf, pf, wf, 0, rows)
-    else:
-        _split_rows(rows, elements, lambda part: _add_rows(rf, pf, wf, part.start, part.stop), loop=True)
+    _split_rows(rows, rows * replay.shape[1], lambda part: _add_rows(rf, pf, wf, part.start, part.stop))
 
 
 def _add_rows(rf: np.ndarray, pf: np.ndarray, wf: np.ndarray, start: int, stop: int) -> None:

@@ -19,11 +19,11 @@ and 1 elsewhere. This holds for any target, symmetric or not. E is the
 aperture's energy by Parseval, which a one-pixel change moves by
 ``|new|^2 - |old|^2``.
 
-Below ``2 * field._MIN_LOOP_BLOCK`` elements the cross term is one
-magnitude pass and one dot product. From there each of the two fixed row
-blocks of ``field._split_rows`` writes its rows' magnitudes and takes their
-dot product with the target's rows while both are in its core's cache, and
-the cross term is the block 0 product plus the block 1 product, in that
+Below ``2 * field._MIN_BLOCK`` elements the cross term is one magnitude
+pass and one dot product. From there each of the two fixed row blocks of
+``field._split_rows`` writes its rows' magnitudes and takes their dot
+product with the target's rows while both are in its core's cache, and the
+cross term is the block 0 product plus the block 1 product, in that
 order. The bounds follow the grid alone, so the bytes depend neither on
 the core count nor on the thread that ran a block.
 """
@@ -97,7 +97,7 @@ def mse(target_mag: np.ndarray | FoldedTarget, replay: np.ndarray, energy: float
         # than the pass. A large one is scored in two row blocks, each
         # writing into the arrays allocated here; see the module docstring.
         rows, target = replay.shape[0], folded.folded
-        if _block_count(rows, replay.size, loop=True) == 1:
+        if _block_count(rows, replay.size) == 1:
             cross = np.abs(replay).ravel() @ target.ravel()
         else:
             magnitude = np.empty(replay.shape)
@@ -107,7 +107,7 @@ def mse(target_mag: np.ndarray | FoldedTarget, replay: np.ndarray, energy: float
                 np.abs(replay[part], out=magnitude[part])
                 np.dot(magnitude[part].ravel(), target[part].ravel(), out=partial[0 if part.start == 0 else 1, ...])
 
-            _split_rows(rows, replay.size, score, loop=True)
+            _split_rows(rows, replay.size, score)
             cross = partial[0] + partial[1]
         return float((energy - 2.0 * cross + folded.energy) / folded.size)
     if target_mag.shape != replay.shape:

@@ -13,7 +13,7 @@ Level values are produced by a single table per scheme (see
 and conformance checks agree bit-for-bit.
 
 :func:`quantise` and :func:`change_map` go through :func:`_split_tiles`:
-a large grid is split over the usable cores (``field._split_rows``), one
+a large grid is split in the two row blocks of ``field._split_rows``, one
 tile at a time, with the same bytes as one call; below the split floor it
 is that one call.
 """
@@ -140,8 +140,8 @@ def _split_tiles(fn, *arrays: np.ndarray, dtype) -> np.ndarray:
     """``fn(*arrays)``, for ``fn`` elementwise over same-shape arrays:
     below the split floor the one call; on a split, a new ``dtype`` array
     filled with ``fn``'s result for each flat tile of at most ``_TILE``
-    elements, in the blocks of ``field._split_rows``. Tiling every grid
-    raised the peak RSS of a 512^2 A/B run by 2 MiB."""
+    elements, in the blocks of ``field._split_rows``. Tiles cost peak RSS
+    (1-2 MiB in a 512^2 A/B run), so a grid under the floor is not tiled."""
     size = arrays[0].size
     if _block_count(size, size) == 1:
         return fn(*arrays)

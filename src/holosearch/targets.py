@@ -11,9 +11,9 @@ natural-image-like falling amplitude spectrum, and a three-bar resolution
 chart. Both depend only on the requested size.
 
 The texture's inverse transform is ``irfft2``'s two passes, which a large
-texture splits into the row blocks of ``field._split_rows``, over the
-usable cores; its bytes do not depend on the number of blocks. The
-rescale after it runs as one block on the calling thread.
+texture splits into the two row blocks of ``field._split_rows``; its bytes
+do not depend on the number of blocks. The rescale after it runs as one
+block on the calling thread.
 """
 
 from __future__ import annotations

@@ -63,9 +63,10 @@ def test_output_bytes_do_not_follow_blas_threads(tmp_path):
 
 @pytest.mark.parametrize("scheme", ["binary-phase", "phase:cont"])
 def test_output_bytes_do_not_follow_the_core_count(tmp_path, monkeypatch, scheme):
-    """The set-up kernels split their rows over the usable cores, so a
-    render on one core writes what a render on three writes. At 128^2 the
-    grid is under the split floor, so the floor is lowered to split it."""
+    """A render on one core, where the caller runs both blocks of every
+    split, writes what a render on three writes, where the helper takes
+    some. At 128^2 the grid is under the split floor, so the floor is
+    lowered to split it."""
     monkeypatch.setattr(field, "_MIN_BLOCK", 1024)
     written = {}
     for cores in (1, 3):

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from holosearch import field, search
+from holosearch import field
 from holosearch.experiments import (
     HISTOGRAM_BINS,
     HISTOGRAM_HEADER,
@@ -32,6 +32,7 @@ from holosearch.pgm import CLAMP_UNIT, load_pgm, save_pgm
 from holosearch.search import SearchConfig, run_search
 from holosearch.slm import ModulationScheme, change_map, quantise
 from holosearch.targets import TargetImage
+from test_field import fresh_helpers
 
 BINARY_PHASE = ModulationScheme("phase", 2)
 CONT_PHASE = ModulationScheme("phase", None)
@@ -414,7 +415,7 @@ def _search_digest() -> str:
 
 
 def _send_digest(conn, digest) -> None:
-    conn.send((digest(), any(helper.is_alive() for helper in field._helpers)))
+    conn.send((digest(), field._helper is not None and field._helper.is_alive()))
     conn.close()
 
 
@@ -441,11 +442,11 @@ def _digest_in_forked_child(digest) -> str:
 
 def test_split_set_up_runs_in_a_forked_child(monkeypatch):
     """A process forked after a split set-up holds none of its parent's
-    helper threads or queued blocks: the child starts helpers of its own,
+    helper thread or queued blocks: the child starts a helper of its own,
     repeats the set-up, splitting it again, and gets the parent's bytes."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 2)
     want = _set_up_digest()
-    assert field._helpers, "the parent's split started no helper"
+    assert field._helper is not None, "the parent's split started no helper"
     assert _digest_in_forked_child(_set_up_digest) == want
 
 
@@ -453,9 +454,9 @@ def test_split_search_runs_in_a_forked_child(monkeypatch):
     """A child forked after a search whose loop split over a helper, while
     that helper is alive, repeats the search with the parent's bytes."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(field, "_MIN_LOOP_BLOCK", 1)
+    monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     want = _search_digest()
-    assert any(helper.is_alive() for helper in field._helpers)
+    assert field._helper.is_alive()
     assert _digest_in_forked_child(_search_digest) == want
 
 
@@ -489,12 +490,10 @@ def test_forked_child_reads_its_own_core_count(monkeypatch):
     assert field._usable_cores() == 99
 
 
-@pytest.mark.parametrize("scheme", ["binary-phase", "phase:8"])
-def test_set_up_under_the_split_floor_starts_no_thread(monkeypatch, scheme):
-    """Grids under 1024^2 run inline: the set-up kernels of a 512^2 sps
-    search (target, back-projection, quantisation, change map, sort and the
-    replay's transform) split no block and start no thread, even with eight
-    usable cores. Its first error, a loop kernel, may split."""
+def threads_and_splits(monkeypatch, resolution, scheme):
+    """With eight usable cores and a helper of its own, a sps set-up and a
+    200-iteration search at ``resolution``: the threads it started, the
+    block count of every split kernel call and the helper."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 8)
     start = threading.Thread.start
     started = []
@@ -505,16 +504,34 @@ def test_set_up_under_the_split_floor_starts_no_thread(monkeypatch, scheme):
         started.append(thread)
         start(thread)
 
-    def count(rows, elements, loop=False):
-        k = block_count(rows, elements, loop)
-        splits.append((loop, k))
+    def count(rows, elements):
+        k = block_count(rows, elements)
+        splits.append(k)
         return k
 
     monkeypatch.setattr(threading.Thread, "start", record)
     monkeypatch.setattr(field, "_block_count", count)
-    config = ExperimentConfig(resolution=512, iterations=0, selection="sps",
+    config = ExperimentConfig(resolution=resolution, iterations=200, selection="sps",
                               scheme=ModulationScheme.from_name(scheme))
-    monkeypatch.setattr(search, "mse", lambda *args, **kwargs: 0.5)
-    run_search(prepare_target(config), config.search_config(), config.seed)
-    assert started == []
-    assert splits and all(k == 1 for loop, k in splits)
+    with fresh_helpers():
+        run_search(prepare_target(config), config.search_config(), config.seed)
+        return started, splits, field._helper
+
+
+@pytest.mark.parametrize("scheme", ["binary-phase", "phase:8"])
+def test_set_up_under_the_split_floor_starts_no_thread(monkeypatch, scheme):
+    """A 128^2 sps search, under the split floor in every kernel (target,
+    back-projection, quantisation, change map, sort, the replay's
+    transform, and the loop's update and error), splits no block and starts
+    no thread, even with eight usable cores."""
+    started, splits, helper = threads_and_splits(monkeypatch, 128, scheme)
+    assert started == [] and helper is None
+    assert splits and all(k == 1 for k in splits)
+
+
+def test_split_search_starts_one_helper_on_eight_cores(monkeypatch):
+    """A 512^2 sps set-up and search split every kernel in two blocks and
+    start exactly one thread, the helper, even with eight usable cores."""
+    started, splits, helper = threads_and_splits(monkeypatch, 512, "binary-phase")
+    assert started == [helper] and helper.daemon
+    assert splits and all(k == 2 for k in splits)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holosearch import field, slm
+from holosearch import field, metrics, slm
 from holosearch.field import (
     as_field,
     delta_update,
@@ -413,15 +413,14 @@ SCHEMES = [ModulationScheme.from_name(name) for name in (
 
 
 @contextlib.contextmanager
-def forced_blocks(k, tile=None):
-    """Split every kernel, whatever the grid size, over k usable cores, into
-    blocks of near-equal size: a set-up kernel into min(k, rows) blocks and
-    a search-loop kernel into min(2, rows), and quantise/change_map into
-    tiles of ``tile`` elements."""
+def forced_blocks(cores, split=True, tile=None):
+    """On ``cores`` usable cores, cut every kernel, whatever the grid size,
+    into two blocks of near-equal size from two rows on (one block with
+    ``split`` false), and quantise/change_map into tiles of ``tile``
+    elements."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "_usable_cores", lambda: k)
-        mp.setattr(field, "_MIN_BLOCK", 1)
-        mp.setattr(field, "_MIN_LOOP_BLOCK", 1)
+        mp.setattr(field, "_usable_cores", lambda: cores)
+        mp.setattr(field, "_MIN_BLOCK", 1 if split else 1 << 62)
         mp.setattr(field, "_HEAD_START", 0)
         if tile is not None:
             mp.setattr(slm, "_TILE", tile)
@@ -430,14 +429,14 @@ def forced_blocks(k, tile=None):
 
 @contextlib.contextmanager
 def fresh_helpers(loop=None):
-    """A helper pool of the block's own: no helper thread and an empty queue
-    at its start. With ``loop`` given, each helper started in the block runs
-    ``loop(jobs)`` in place of the package's loop. Helpers started in the
-    block outlive it, idle on a queue nothing offers to again. A helper
+    """A helper of the block's own: no helper thread and an empty queue at
+    its start. With ``loop`` given, a helper started in the block runs
+    ``loop(jobs)`` in place of the package's loop. A helper started in the
+    block outlives it, idle on a queue nothing offers to again. A helper
     that fails to start in the block stops no start after it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "_jobs", queue.SimpleQueue())
-        mp.setattr(field, "_helpers", [])
+        mp.setattr(field, "_helper", None)
         mp.setattr(field, "_start_failed", False)
         if loop is not None:
             mp.setattr(field, "_help", loop)
@@ -496,9 +495,9 @@ def split_kernel_outputs(f, theta, real, size):
 @given(height=st.integers(2, 40), width=st.integers(2, 40), size=st.integers(2, 40),
        seed=st.integers(0, 2**32 - 1))
 def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
-    """Each kernel gives the same bytes in 1, 2, 3 and 5 blocks (capped at
-    its row count), with quantise and change_map also cut into 3-element
-    tiles, for odd and even shapes. Zeros of both signs and exact phase ties
+    """Each kernel gives the same bytes in one block and in two, on 1, 2
+    and 8 usable cores, with quantise and change_map also cut into
+    3-element tiles, for odd and even shapes. Zeros of both signs and exact phase ties
     are among the quantised values. dft2(rows=) stays the leading rows of
     the whole transform in every block count. One block gives the bytes of
     numpy's own fft2, ifft2 and rfftn calls. dft2(out=) returns the array
@@ -510,7 +509,7 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
     f.ravel()[:len(special)] = special[:f.size]
     theta = rng.uniform(-8.0, 8.0, (height, width))
     real = rng.standard_normal((height, width))
-    with forced_blocks(1):
+    with forced_blocks(1, split=False):
         want = split_kernel_outputs(f, theta, real, size)
     rfftn = np.fft.rfftn(real, axes=(1, 0), norm="ortho")
     assert same_bytes(want["dft2"], np.fft.fft2(f, norm="ortho"))
@@ -520,7 +519,7 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
     assert same_bytes(want["dft2 out="], want["dft2"])
     assert same_bytes(want["dft2 rows out="], want["dft2 rows"])
     bound = 1e-12 * np.linalg.norm(real)
-    for k in (2, 3, 5):
+    for k in (1, 2, 8):
         with forced_blocks(k, tile=3):
             got = split_kernel_outputs(f, theta, real, size)
             leading = dft2(real, rows=half_rows(height))
@@ -532,22 +531,25 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
 
 
 def test_split_rows_reraises_the_first_exception_of_a_worker_block(monkeypatch):
-    """Every block runs, and the lowest-numbered failure is re-raised; the
-    split starts one daemon helper per extra block."""
+    """Both blocks run, and the first block's failure is re-raised, or else
+    the second's; the split starts one daemon helper, which outlives it."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 3)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     monkeypatch.setattr(field, "_HEAD_START", 0)
-    seen = []
+    for failing, error in (((0, 4), "block from 0"), ((4,), "block from 4")):
+        seen = []
 
-    def fn(block):
-        seen.append((block.start, block.stop))
-        if block.start > 0:
-            raise ZeroDivisionError(f"block from {block.start}")
+        def fn(block, failing=failing):
+            seen.append((block.start, block.stop))
+            if block.start in failing:
+                raise ZeroDivisionError(f"block from {block.start}")
 
-    with fresh_helpers(), pytest.raises(ZeroDivisionError, match="block from 3"):
-        field._split_rows(9, 9, fn)
-        assert len(field._helpers) == 2 and all(t.daemon and t.is_alive() for t in field._helpers)
-    assert sorted(seen) == [(0, 3), (3, 6), (6, 9)]
+        with fresh_helpers():
+            with pytest.raises(ZeroDivisionError, match=error):
+                field._split_rows(9, 9, fn)
+            helper = field._helper
+            assert helper is not None and helper.daemon and helper.is_alive()
+        assert sorted(seen) == [(0, 4), (4, 9)]
 
 
 def test_split_rows_blocks_keep_the_callers_numpy_error_state(monkeypatch):
@@ -572,43 +574,90 @@ def test_split_rows_blocks_keep_the_callers_numpy_error_state(monkeypatch):
 
 
 def test_split_rows_runs_small_work_inline(monkeypatch):
-    """Below two minimum blocks the one block runs on the calling thread."""
+    """Below two minimum blocks, or in one row, the one block runs on the
+    calling thread."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 8)
     threads = []
-    for n, loop in ((2 * field._MIN_BLOCK - 1, False), (2 * field._MIN_LOOP_BLOCK - 1, True)):
+    for rows, elements in ((2 * field._MIN_BLOCK - 1, 2 * field._MIN_BLOCK - 1), (1, 1 << 30)):
         threads.clear()
-        field._split_rows(n, n, lambda block: threads.append((threading.current_thread(), block)), loop=loop)
-        assert threads == [(threading.current_thread(), slice(0, n))]
+        field._split_rows(rows, elements, lambda block: threads.append((threading.current_thread(), block)))
+        assert threads == [(threading.current_thread(), slice(0, rows))]
 
 
 def test_split_rows_gives_the_caller_a_head_start(monkeypatch):
-    """Block 0 is _HEAD_START elements larger than the others, which differ
-    by at most a row, and no block is left empty. A set-up kernel cuts one
-    block per usable core; a loop kernel cuts two, on any number of cores,
-    with bounds that follow the rows and elements alone."""
+    """Every split cuts two blocks, block 0 _HEAD_START elements larger
+    than block 1 (to a row), and neither left empty, with bounds that are
+    the same on 1, 2 and 8 usable cores."""
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
-    monkeypatch.setattr(field, "_MIN_LOOP_BLOCK", 1)
-    for cores, rows, width in ((2, 256, 256), (2, 257, 512), (3, 100, 1000), (3, 5, 1 << 20), (2, 2, 1 << 20),
-                               (3, 5, 1), (1, 256, 256), (1, 7, 1)):
-        monkeypatch.setattr(field, "_usable_cores", lambda: cores)
-        for loop, count in ((False, cores), (True, 2)):
+    for rows, width in ((256, 256), (257, 512), (100, 1000), (5, 1 << 20), (2, 1 << 20), (5, 1), (7, 1)):
+        bounds = []
+        for cores in (1, 2, 8):
+            monkeypatch.setattr(field, "_usable_cores", lambda: cores)
             blocks = []
-            field._split_rows(rows, rows * width, blocks.append, loop=loop)
-            sizes = [b.stop - b.start for b in sorted(blocks, key=lambda b: b.start)]
-            assert sum(sizes) == rows and len(sizes) == count and min(sizes) >= 1
-            if count > 1:
-                head = min(rows - count, rows * field._HEAD_START // (rows * width))
-                assert abs(sizes[0] - head - sizes[1]) <= 1 and max(sizes[1:]) - min(sizes[1:]) <= 1
+            field._split_rows(rows, rows * width, blocks.append)
+            bounds.append(sorted((b.start, b.stop) for b in blocks))
+        assert bounds[0] == bounds[1] == bounds[2]
+        (start, mid), (_, stop) = bounds[0]
+        assert start == 0 and stop == rows and 1 <= mid < rows
+        head = min(rows - 2, rows * field._HEAD_START // (rows * width))
+        assert abs(mid - head - (rows - mid)) <= 1
+
+
+def blocks_and_outputs(cores, f, real, n):
+    """On ``cores`` usable cores, with a helper of its own: the blocks every
+    split kernel cuts, as sorted (rows, elements, start, stop), what the
+    kernels return, and whether a helper started."""
+    bounds, lock, split_rows = [], threading.Lock(), field._split_rows
+
+    def record(rows, elements, fn):
+        def block(part):
+            with lock:
+                bounds.append((rows, elements, part.start, part.stop))
+            fn(part)
+
+        split_rows(rows, elements, block)
+
+    with pytest.MonkeyPatch.context() as mp, fresh_helpers():
+        mp.setattr(field, "_usable_cores", lambda: cores)
+        for module in (field, metrics, slm):
+            mp.setattr(module, "_split_rows", record)
+        got = split_kernel_outputs(f, f.real, real, n)
+        got["loop"] = loop_kernel_outputs(dft2(f), f, False, "all")
+        got["loop half"] = loop_kernel_outputs(dft2(real), real, True, "half")
+        return sorted(bounds), got, field._helper is not None
+
+
+def test_every_kernels_block_bounds_follow_the_grid_alone():
+    """At the real floor, the blocks each split kernel cuts (set-up and
+    loop kernels on a 256^2 grid, which split, and on a 128^2 one, which do
+    not) are the same on 1, 2 and 8 usable cores, and so are the bytes. A
+    helper starts only on a split with more than one core."""
+    rng = np.random.default_rng(5)
+    for n in (256, 128):
+        f = random_field(rng, (n, n))
+        real = rng.standard_normal((n, n))
+        bounds, want, helped = blocks_and_outputs(1, f, real, n)
+        assert not helped
+        assert any(stop < rows for rows, _, _, stop in bounds) == (n == 256)
+        for cores in (2, 8):
+            got_bounds, got, helped = blocks_and_outputs(cores, f, real, n)
+            assert got_bounds == bounds, (n, cores)
+            assert helped == (n == 256), (n, cores)
+            for name in ("loop", "loop half"):
+                (replays, errors), (want_replays, want_errors) = got.pop(name), want[name]
+                assert errors == want_errors, (n, cores, name)
+                assert all(same_bytes(a, b) for a, b in zip(replays, want_replays)), (n, cores, name)
+            for name in got:
+                assert same_bytes(got[name], want[name]), (n, cores, name)
 
 
 def test_split_kernels_leave_no_thread_behind(monkeypatch):
-    """A split starts no thread of its own: the first one starts the
-    persistent helpers (one per extra block, daemon threads), and after
-    that every split call, one that raised included, leaves the process
-    the threads it had before."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 3)
+    """A split starts no thread of its own: the first one starts the one
+    persistent helper, a daemon thread, even on eight usable cores, and
+    after that every split call, one that raised included, leaves the
+    process the threads it had before."""
+    monkeypatch.setattr(field, "_usable_cores", lambda: 8)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
-    monkeypatch.setattr(field, "_MIN_LOOP_BLOCK", 1)
     rng = np.random.default_rng(6)
     f = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
     replay = dft2(f)
@@ -619,9 +668,10 @@ def test_split_kernels_leave_no_thread_behind(monkeypatch):
              lambda: mse(scored, replay, energy=1.0)]
     calls += [lambda s=s: change_map(f, quantise(f, s)) for s in SCHEMES]
     with fresh_helpers():
+        before = threading.active_count()
         field._split_rows(12, 12, lambda block: None)
-        helpers = list(field._helpers)
-        assert len(helpers) == 2 and all(t.daemon for t in helpers)
+        helper = field._helper
+        assert helper.daemon and threading.active_count() == before + 1
         baseline = threading.active_count()
         for call in calls:
             call()
@@ -629,48 +679,48 @@ def test_split_kernels_leave_no_thread_behind(monkeypatch):
         with pytest.raises(ValueError):
             field._split_rows(12, 12, lambda block: int("not a number"))
         assert threading.active_count() == baseline
-        assert field._helpers == helpers
+        assert field._helper is helper
 
 
 def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
-    """With no helper able to start, the calling thread runs every block and
+    """With no helper able to start, the calling thread runs both blocks and
     queues none, and after the first failed start no split tries another;
-    with only one able to start, that one and the caller run them. A kernel
+    once the helper has started, no split starts another thread. A kernel
     split either way keeps its bytes."""
     rng = np.random.default_rng(8)
     f = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
-    with forced_blocks(1):
+    with forced_blocks(1, split=False):
         want = dft2(f)
     start = threading.Thread.start
     calls = []
 
-    def start_only_the_first(thread):
+    def start_unless_failing(thread):
         calls.append(thread)
-        if len(calls) > 1 or failing:
+        if failing:
             raise RuntimeError("can't start new thread")
         start(thread)
 
-    monkeypatch.setattr(threading.Thread, "start", start_only_the_first)
+    monkeypatch.setattr(threading.Thread, "start", start_unless_failing)
     caller = threading.current_thread()
     failing = True
-    with forced_blocks(4), fresh_helpers():
+    with forced_blocks(8), fresh_helpers():
         where = {}
         field._split_rows(8, 8, lambda block: where.setdefault(block.start, threading.current_thread()))
-        assert sorted(where) == [0, 2, 4, 6] and all(t is caller for t in where.values())
-        assert field._helpers == [] and field._jobs.empty()
+        assert sorted(where) == [0, 4] and all(t is caller for t in where.values())
+        assert field._helper is None and field._jobs.empty()
         for _ in range(3):
             assert same_bytes(dft2(f), want)
         assert len(calls) == 1
     failing = False
     calls.clear()
-    with forced_blocks(3), fresh_helpers():
+    with forced_blocks(8), fresh_helpers():
         assert same_bytes(dft2(f), want)
-        assert len(field._helpers) == 1
+        assert field._helper is calls[0]
         where = {}
         field._split_rows(9, 9, lambda block: where.setdefault(block.start, 0))
-        assert sorted(where) == [0, 3, 6]
+        assert sorted(where) == [0, 4]
         assert same_bytes(dft2(f), want)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 # ------------------------------------------------------- loop kernels, split
@@ -761,7 +811,7 @@ def test_loop_kernels_give_the_bytes_of_one_block(cores, head, shape, real, rows
             float((float(i + 3) - 2.0 * (np.abs(r[:k]).ravel() @ scored.folded.ravel()) + scored.energy) / scored.size)
             for i, r in enumerate(want[:-1])]))
         mp.setattr(field, "_usable_cores", lambda: cores)
-        mp.setattr(field, "_MIN_LOOP_BLOCK", 1)
+        mp.setattr(field, "_MIN_BLOCK", 1)
         if head is not None:
             mp.setattr(field, "_HEAD_START", head)
         assert_loop_outputs(loop_kernel_outputs(replay, holo, real, rows_kind), want, holo, rows_kind)
@@ -774,10 +824,10 @@ def test_stalled_helper_leaves_every_block_to_the_caller(monkeypatch):
     rng = np.random.default_rng(9)
     f = random_field(rng, (12, 10))
     holo = rng.standard_normal((12, 10))
-    with forced_blocks(1):
+    with forced_blocks(1, split=False):
         want = split_kernel_outputs(f, f.real, holo, 12)
     want_replays, _ = loop_kernel_outputs(dft2(holo), holo, True, "half")
-    with forced_blocks(3), fresh_helpers(stalled):
+    with forced_blocks(8), fresh_helpers(stalled):
         callers, where, got = [], set(), {}
 
         def split():
@@ -787,7 +837,7 @@ def test_stalled_helper_leaves_every_block_to_the_caller(monkeypatch):
         assert finishes(split)
         assert finishes(lambda: got.update(split_kernel_outputs(f, f.real, holo, 12)))
         assert finishes(lambda: got.update(loop=loop_kernel_outputs(dft2(holo), holo, True, "half")))
-        assert len(field._helpers) == 2
+        assert field._helper is not None
         assert_loop_outputs(got.pop("loop"), want_replays, holo, "half")
     assert where == set(callers)
     for name in want:
@@ -796,7 +846,7 @@ def test_stalled_helper_leaves_every_block_to_the_caller(monkeypatch):
 
 def test_split_loop_kernels_under_thread_stress(monkeypatch):
     """Four threads, more than the cores, each run updates and errors on a
-    replay of their own, every call split in two blocks over three usable
+    replay of their own, every call split in two blocks on three usable
     cores, with the interpreter switching threads every few microseconds:
     each ends with the bytes it gets alone, and the replays with those of
     one block. Some of the split errors differ from the unsplit ones in

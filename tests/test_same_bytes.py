@@ -66,20 +66,31 @@ def test_every_kind_of_difference_is_reported(tmp_path):
 def test_float_digits_alone_are_told_apart(tmp_path):
     """A run whose CSV, summary and stdout differ only in float digits is
     reported as such, with the largest absolute and relative difference
-    over every field that moved; the PGM is the same and not mentioned."""
+    over every field that moved and the field of the latter: a CSV's
+    column, a line's key. A derived ratio that moves more than the errors
+    it comes from is named as the field that moved most. The PGM is the
+    same and not mentioned."""
+    ratio = "initial_mse = 0.75\nfinal_mse = {}\nimprovement_error_reduction = {}\n"
     base = make_tree(tmp_path / "base", run_dir(**{
         "run00/trace.csv": "iteration,mse,accepted\n0,0.25,0\n100,0.125,7\n",
+        "run01/summary.txt": ratio.format("0.5", "0.001"),
     }))
     change = make_tree(tmp_path / "change", run_dir(**{
         "run00/trace.csv": "iteration,mse,accepted\n0,0.25000000000000006,0\n100,0.12500000000000003,7\n",
         "run00/summary.txt": SUMMARY.replace("0.5", "0.5000000000000001").format("3"),
         "run00.stdout": "final_mse = 0.49999999999999994\nwrote run00/replay.pgm\n",
+        "run01/summary.txt": ratio.format("0.5000000000000001", "0.00100000000000001"),
     }))
     kinds = [line for line in same_bytes.differences(base, change) if line.startswith("kind: ")]
     assert kinds == [
-        "kind: run00.stdout: float fields only, largest absolute difference 5.55e-17, largest relative 1.11e-16",
-        "kind: run00/summary.txt: float fields only, largest absolute difference 1.11e-16, largest relative 2.22e-16",
-        "kind: run00/trace.csv: float fields only, largest absolute difference 5.55e-17, largest relative 2.22e-16",
+        "kind: run00.stdout: float fields only, largest absolute difference 5.55e-17, largest relative 1.11e-16"
+        " in final_mse",
+        "kind: run00/summary.txt: float fields only, largest absolute difference 1.11e-16, largest relative 2.22e-16"
+        " in final_mse",
+        "kind: run00/trace.csv: float fields only, largest absolute difference 5.55e-17, largest relative 2.22e-16"
+        " in mse",
+        "kind: run01/summary.txt: float fields only, largest absolute difference 1.11e-16, largest relative 9.97e-15"
+        " in improvement_error_reduction",
     ]
 
 

@@ -867,7 +867,7 @@ def test_two_searches_on_two_threads_keep_their_bytes(split, monkeypatch):
     accept counts, traces and errors exactly, with the loop split off and
     forced on."""
     monkeypatch.setattr(field, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(field, "_MIN_LOOP_BLOCK", 1 if split else 1 << 62, raising=False)
+    monkeypatch.setattr(field, "_MIN_BLOCK", 1 if split else 1 << 62)
     for resolution, scheme, algorithm in ((128, "binary-phase", ALGO_DS_FAST), (64, "phase:8", ALGO_SA)):
         base = ExperimentConfig(resolution=resolution, iterations=2000, algorithm=algorithm,
                                 scheme=ModulationScheme.from_name(scheme))
@@ -893,7 +893,7 @@ def assert_errors_close(got, want, rel=1e-14):
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_split_search_gives_the_inline_bytes(cores):
     """A 64^2 sps ds-fast search and a 64^2 phase:8 sa search, with every
-    loop kernel split in two blocks on 1, 2 or 3 usable cores, give the
+    kernel split in two blocks on 1, 2 or 3 usable cores, give the
     hologram, accept count and replay bytes of the search run inline; their
     errors, whose dot products the split sums in two parts, agree to 1e-14
     relative."""
@@ -917,15 +917,16 @@ def test_split_search_gives_the_inline_bytes(cores):
 ])
 def test_search_bytes_do_not_follow_the_core_count(resolution, scheme, algorithm, iterations):
     """At the shapes of the benchmark's two A/B workloads, where the loop
-    kernels split at their own floor (a 256^2 complex aperture, a 512^2 real
+    kernels split at the floor (a 256^2 complex aperture, a 512^2 real
     aperture's half-plane), searches on 1, 2 and 3 usable cores, each with
-    a helper pool of its own, give the same hologram, replay, trace and
-    final error bytes, under both selections."""
+    a helper of its own, give the same hologram, replay, trace and final
+    error bytes, under both selections; the helper starts on more than one
+    core."""
     cfg = ExperimentConfig(resolution=resolution, iterations=iterations, algorithm=algorithm,
                            scheme=ModulationScheme.from_name(scheme))
     target = prepare_target(cfg)
     rows = half_rows(resolution) if cfg.scheme.is_real else resolution
-    assert field._block_count(rows, rows * resolution, loop=True) == 2
+    assert field._block_count(rows, rows * resolution) == 2
     for selection in SELECTIONS:
         config = dataclasses.replace(cfg, selection=selection).search_config()
         outcomes = []
@@ -933,7 +934,7 @@ def test_search_bytes_do_not_follow_the_core_count(resolution, scheme, algorithm
             with pytest.MonkeyPatch.context() as mp, fresh_helpers():
                 mp.setattr(field, "_usable_cores", lambda: cores)
                 result = run_search(target, config, 5)
-                assert len(field._helpers) == min(cores - 1, 1)
+                assert (field._helper is not None) == (cores > 1)
             outcomes.append(search_outcome(result) + (result.replay.tobytes(), result.final_mse.hex()))
         assert outcomes[0] == outcomes[1] == outcomes[2], selection
 

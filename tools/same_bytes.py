@@ -18,7 +18,7 @@ as a unified diff for summaries, stdout, stderr and exit codes; the exit
 status is 1 if anything differs. Each text file that differs (CSVs,
 summaries, stdout, stderr, exit codes) also gets one line that says what
 kind of difference it is: float fields only, with the largest absolute and
-relative difference, or else the first integer field, row count or
+relative difference and the field that holds the latter, or else the first integer field, row count or
 non-numeric field that differs. Only the first kind leaves every decision
 of a run (accepted counts, iterations, histogram counts, pixel indices)
 as it was.
@@ -60,7 +60,7 @@ RUNS = (
     ("scatter", "--resolution", "64", "--scheme", "phase:8"),
     ("hist", "--resolution", "64"),
     ("hist", "--resolution", "64", "--scheme", "phase:5"),
-    # large enough that the set-up kernels split their rows over the cores
+    # the largest grids, where set-up weighs most; every kernel splits its rows
     ("render", "--resolution", "1024", "--selection", "sps", "--iterations", "200"),
     ("hist", "--resolution", "1024", "--scheme", "phase:cont"),
     # refreshes a complex aperture's replay every third accept
@@ -73,9 +73,9 @@ RUNS = (
     ("render", "--resolution", "1024", "--selection", "sps", "--scheme", "phase:8", "--iterations", "200"),
     # samples a grid whose whole-grid quantise would run in split tiles
     ("scatter", "--resolution", "1024", "--scheme", "phase:cont", "--scatter-samples", "200"),
-    # ab-ds-binary-512's shape: the search loop splits its rows, the set-up does not
+    # ab-ds-binary-512's shape: the set-up and the search loop split their rows
     ("run-ab", "--resolution", "512", "--symmetry", "--iterations", "500"),
-    # ab-sa-phase8-256's shape: a complex aperture whose loop splits, under annealing
+    # ab-sa-phase8-256's shape: a complex aperture whose set-up and loop split, under annealing
     ("run-ab", "--resolution", "256", "--algorithm", "sa", "--scheme", "phase:8", "--iterations", "2000"),
     # fails: a custom schedule needs both --t-coeff and --t0
     ("run-ab", "--resolution", "64", "--algorithm", "sa", "--t0", "3"),
@@ -131,7 +131,8 @@ def kind_of_difference(old: str, new: str) -> str:
     The texts are compared line by line and, within a line, field by field,
     fields being what :data:`_SEPARATORS` splits. Either every difference is
     between two finite floats (written with a point or an exponent): the
-    result then names the largest absolute and relative difference. Or the
+    result then names the largest absolute and relative difference, and the
+    field of the largest relative one (:func:`_field_name`). Or the
     first other difference is named: a row count, an integer field, a
     non-numeric field (text, separators or a number of fields) or a float
     that is or becomes nan or infinite."""
@@ -139,11 +140,12 @@ def kind_of_difference(old: str, new: str) -> str:
     if len(old_lines) != len(new_lines):
         return f"row count {len(old_lines)} -> {len(new_lines)}"
     largest_abs = largest_rel = 0.0
+    largest_field = ""
     for number, (a_line, b_line) in enumerate(zip(old_lines, new_lines), 1):
         a_fields, b_fields = _SEPARATORS.split(a_line), _SEPARATORS.split(b_line)
         if len(a_fields) != len(b_fields):
             return f"non-numeric field on line {number}: {a_line!r} -> {b_line!r}"
-        for a, b in zip(a_fields, b_fields):
+        for index, (a, b) in enumerate(zip(a_fields, b_fields)):
             if a == b:
                 continue
             if _INTEGER.fullmatch(a) or _INTEGER.fullmatch(b):
@@ -155,8 +157,23 @@ def kind_of_difference(old: str, new: str) -> str:
                 return f"non-finite float on line {number}: {a} -> {b}"
             gap = abs(x - y)
             largest_abs = max(largest_abs, gap)
-            largest_rel = max(largest_rel, gap / max(abs(x), abs(y)) if gap else 0.0)
-    return f"float fields only, largest absolute difference {largest_abs:.3g}, largest relative {largest_rel:.3g}"
+            rel = gap / max(abs(x), abs(y)) if gap else 0.0
+            if rel > largest_rel:
+                largest_rel, largest_field = rel, _field_name(old_lines[0], a_line, number, index)
+    return (f"float fields only, largest absolute difference {largest_abs:.3g}, "
+            f"largest relative {largest_rel:.3g} in {largest_field}")
+
+
+def _field_name(header: str, line: str, number: int, index: int) -> str:
+    """Name of field ``index`` of ``_SEPARATORS.split(line)``, line
+    ``number`` of a text whose first line is ``header``: the key of a ``key
+    = value`` line, or else the header's field at that index (a CSV
+    column), or else the line number."""
+    key, equals, _ = line.partition(" = ")
+    if equals:
+        return key
+    columns = _SEPARATORS.split(header)
+    return columns[index] if number > 1 and index < len(columns) else f"line {number}"
 
 
 def differences(base: str, change: str) -> list[str]:
