@@ -31,18 +31,22 @@ pass of ``metrics.mse``'s energy form). Each splits into two row blocks
 from ``2 * _MIN_BLOCK`` elements and two rows, whose bounds follow the rows
 and elements alone, never the core count. The calling thread runs the
 first block, and the second too unless the one persistent helper thread
-has taken it; on one core there is no helper. The update and the set-up
-kernels compute every element by the same numpy call on the same values,
-so their bytes do not depend on the blocks. The scoring pass also takes
-one dot product per block, and the error adds the two in block order, so
-its bytes follow the two fixed blocks, never the core count or the thread
-that ran a block. Smaller work is one block, run on the calling thread.
-The transforms are numpy's own 1-D passes, written through ``out=``,
-which ``numpy.fft`` takes from numpy 2.0 on.
+has taken it; when no helper may start, the caller runs both. The update
+and the set-up kernels compute every element by the same numpy call on the
+same values, so their bytes do not depend on the blocks. The scoring pass
+also takes one dot product per block, and the error adds the two in block
+order, so its bytes follow the two fixed blocks, never the core count or
+the thread that ran a block. Smaller work is one block, run on the calling
+thread. The transforms are numpy's own 1-D passes, written through
+``out=``, which ``numpy.fft`` takes from numpy 2.0 on.
 
-The core count is read once per process, at import and again in a forked
-child. A candidate's twiddles are a slice of a per-size table of every
-position's twiddle row, for axis lengths up to ``_TWIDDLE_TABLE_MAX``.
+Whether the helper may start is one flag, ``_may_start_helper``: set from
+the process's CPU affinity (more than one core) at import and again in a
+forked child, and cleared when a thread fails to start. A candidate's
+twiddles are a slice of a per-size table of every position's twiddle row,
+for axis lengths up to ``_TWIDDLE_TABLE_MAX``. Tables and tile scratch that
+live as long as the process are kept outside the malloc heap
+(:func:`_mapped`).
 """
 
 from __future__ import annotations
@@ -81,13 +85,6 @@ def _read_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on, as read at import or, in a forked
-    child, at the fork (:func:`_forget_helpers`). With one, no helper
-    thread starts."""
-    return _cores
-
-
 def _block_count(rows: int, elements: int) -> int:
     """Blocks :func:`_split_rows` cuts ``rows`` into for work on
     ``elements`` elements: two from two rows and ``2 * _MIN_BLOCK``
@@ -124,16 +121,16 @@ class _Job:
 
 
 def _forget_helpers() -> None:
-    """Start with no helper thread, an empty queue, leave to start the
-    helper and the process's own core count: at import, and in a forked
-    child, which has none of its parent's threads and may have other
-    cores."""
-    global _jobs, _helper, _helper_lock, _start_failed, _cores
+    """Start with no helper thread and an empty queue, and set
+    ``_may_start_helper`` from this process's own cores: at import, and in a
+    forked child, which has none of its parent's threads and may have other
+    cores. The flag is the one switch for the helper: true with more than
+    one core, cleared when a start fails."""
+    global _jobs, _helper, _helper_lock, _may_start_helper
     _jobs = queue.SimpleQueue()
     _helper = None
     _helper_lock = threading.Lock()
-    _start_failed = False
-    _cores = _read_cores()
+    _may_start_helper = _read_cores() > 1
 
 
 _forget_helpers()
@@ -150,19 +147,19 @@ def _help(jobs: queue.SimpleQueue) -> None:
 
 def _offer(job: _Job) -> None:
     """Queue ``job`` for the helper thread, first starting it if there is
-    none yet and more than one usable core. Once it has failed to start,
-    no start is tried again until a fork resets it; with no helper nothing
-    is queued, and the caller runs the block."""
-    global _helper, _start_failed
-    if _helper is None and not _start_failed and _usable_cores() > 1:
+    none yet and ``_may_start_helper`` allows it. A failed start clears the
+    flag, so no start is tried again until a fork resets it; with no helper
+    nothing is queued, and the caller runs the block."""
+    global _helper, _may_start_helper
+    if _helper is None and _may_start_helper:
         with _helper_lock:
-            if _helper is None and not _start_failed:
+            if _helper is None and _may_start_helper:
                 thread = threading.Thread(target=_help, args=(_jobs,), daemon=True)
                 try:
                     thread.start()
                     _helper = thread
                 except RuntimeError:  # no thread to spare
-                    _start_failed = True
+                    _may_start_helper = False
     if _helper is not None:
         _jobs.put(job)
 
@@ -362,17 +359,22 @@ def fill_mirror(replay: np.ndarray, rows: int) -> None:
     np.conjugate(src[:, :0:-1], out=replay[rows:, 1:])
 
 
+def _mapped(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A new zeroed array in its own anonymous mapping, for scratch and tables
+    that live as long as the process (:func:`_roots`,
+    :func:`_twiddle_table`, :func:`_tile`). Kept out of the malloc heap, a
+    long-lived block cannot sit among a search's freed multi-MiB
+    temporaries and keep the heap from shrinking (under glibc malloc one
+    raised the peak RSS of a 1024^2 render by 8 MiB)."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype=dtype).reshape(shape)
+
+
 @lru_cache(maxsize=None)
 def _roots(n: int) -> np.ndarray:
-    """Table of exp(-2j*pi*k/n) for k = 0..n-1. Shared and read-only.
-
-    The table lives for the whole process, so it is kept in its own anonymous
-    mapping rather than in the malloc heap: a long-lived block there, placed
-    among a search's freed multi-MiB temporaries, keeps the heap from
-    shrinking (under glibc malloc it raised the peak RSS of a 1024^2 render
-    by 8 MiB).
-    """
-    w = np.frombuffer(mmap.mmap(-1, 16 * n), dtype=np.complex128)
+    """Table of exp(-2j*pi*k/n) for k = 0..n-1. Shared, read-only and
+    :func:`_mapped`."""
+    w = _mapped((n,), np.complex128)
     np.exp((-2j * np.pi / n) * np.arange(n), out=w)
     w.setflags(write=False)
     return w
@@ -388,9 +390,9 @@ _TWIDDLE_TABLE_MAX = 256
 @lru_cache(maxsize=None)
 def _twiddle_table(n: int) -> np.ndarray:
     """Table ``T[pos, k] = _roots(n)[(pos*k) % n]`` of every position's
-    twiddle row, for pos, k = 0..n-1. Shared, read-only, and mapped outside
-    the malloc heap like :func:`_roots`."""
-    table = np.frombuffer(mmap.mmap(-1, 16 * n * n), dtype=np.complex128).reshape(n, n)
+    twiddle row, for pos, k = 0..n-1. Shared, read-only and
+    :func:`_mapped`."""
+    table = _mapped((n, n), np.complex128)
     k = np.arange(n)
     np.take(_roots(n), np.multiply.outer(k, k) % n, out=table)
     table.setflags(write=False)
@@ -428,14 +430,13 @@ _scratch = _Scratch()
 def _tile(width: int) -> np.ndarray:
     """Scratch for one row tile of a real-view increment ``width`` floats
     wide: :func:`_tile_rows` rows, and half as many again that
-    :func:`_add_rows` may merge in. Each thread has its own, so blocks and
-    searches that run on different threads never share one; mapped outside
-    the malloc heap like :func:`_roots`."""
+    :func:`_add_rows` may merge in, :func:`_mapped`. Each thread has its
+    own, so blocks and searches that run on different threads never share
+    one."""
     tile = _scratch.tiles.get(width)
     if tile is None:
         step = _tile_rows(width)
-        rows = step + step // 2
-        tile = np.frombuffer(mmap.mmap(-1, 8 * rows * width), dtype=np.float64).reshape(rows, width)
+        tile = _mapped((step + step // 2, width), np.float64)
         _scratch.tiles[width] = tile
     return tile
 

@@ -13,9 +13,9 @@ Level values are produced by a single table per scheme (see
 and conformance checks agree bit-for-bit.
 
 :func:`quantise` and :func:`change_map` go through :func:`_split_tiles`:
-a large grid is split in the two row blocks of ``field._split_rows``, one
-tile at a time, with the same bytes as one call; below the split floor it
-is that one call.
+every input is worked through one tile at a time, in the row blocks of
+``field._split_rows`` (two for a large grid, one otherwise), with the same
+bytes as one call.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import _block_count, _phasors_into, _split_rows
+from .field import _phasors_into, _split_rows
 
 PHASE = "phase"
 AMPLITUDE = "amplitude"
@@ -137,14 +137,11 @@ def amplitude_levels(n: int) -> np.ndarray:
 
 
 def _split_tiles(fn, *arrays: np.ndarray, dtype) -> np.ndarray:
-    """``fn(*arrays)``, for ``fn`` elementwise over same-shape arrays:
-    below the split floor the one call; on a split, a new ``dtype`` array
-    filled with ``fn``'s result for each flat tile of at most ``_TILE``
-    elements, in the blocks of ``field._split_rows``. Tiles cost peak RSS
-    (1-2 MiB in a 512^2 A/B run), so a grid under the floor is not tiled."""
+    """``fn(*arrays)``, for ``fn`` elementwise over same-shape arrays: a new
+    ``dtype`` array filled with ``fn``'s result for each flat tile of at
+    most ``_TILE`` elements, in the blocks of ``field._split_rows``. A 0-d
+    input gives a numpy scalar, as the one call would."""
     size = arrays[0].size
-    if _block_count(size, size) == 1:
-        return fn(*arrays)
     out = np.empty(arrays[0].shape, dtype=dtype)
     dst, flats = out.reshape(-1), [a.reshape(-1) for a in arrays]
 
@@ -154,7 +151,7 @@ def _split_tiles(fn, *arrays: np.ndarray, dtype) -> np.ndarray:
             dst[tile] = fn(*(a[tile] for a in flats))
 
     _split_rows(size, size, block)
-    return out
+    return out if out.ndim else out[()]
 
 
 def _phase_index(values: np.ndarray, n: int) -> np.ndarray:
@@ -216,7 +213,7 @@ def _nearest(arr: np.ndarray, scheme: ModulationScheme) -> np.ndarray:
             theta = np.arctan2(arr.imag, arr.real + 0.0)
             z = np.empty(theta.shape, dtype=np.complex128)
             _phasors_into(theta, z)
-            return z if z.ndim else z[()]
+            return z
         return phase_levels(scheme.levels)[_phase_index(arr, scheme.levels)]
     if scheme.levels is None:
         return np.clip(arr.real, 0.0, 1.0) + 0j

@@ -70,7 +70,7 @@ def test_output_bytes_do_not_follow_the_core_count(tmp_path, monkeypatch, scheme
     monkeypatch.setattr(field, "_MIN_BLOCK", 1024)
     written = {}
     for cores in (1, 3):
-        monkeypatch.setattr(field, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(field, "_may_start_helper", cores > 1)
         out = tmp_path / f"cores-{cores}"
         run_render(ExperimentConfig(resolution=128, iterations=500, selection="sps",
                                     scheme=ModulationScheme.from_name(scheme), out_dir=str(out)))

@@ -444,7 +444,7 @@ def test_split_set_up_runs_in_a_forked_child(monkeypatch):
     """A process forked after a split set-up holds none of its parent's
     helper thread or queued blocks: the child starts a helper of its own,
     repeats the set-up, splitting it again, and gets the parent's bytes."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_may_start_helper", True)
     want = _set_up_digest()
     assert field._helper is not None, "the parent's split started no helper"
     assert _digest_in_forked_child(_set_up_digest) == want
@@ -453,48 +453,53 @@ def test_split_set_up_runs_in_a_forked_child(monkeypatch):
 def test_split_search_runs_in_a_forked_child(monkeypatch):
     """A child forked after a search whose loop split over a helper, while
     that helper is alive, repeats the search with the parent's bytes."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_may_start_helper", True)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     want = _search_digest()
     assert field._helper.is_alive()
     assert _digest_in_forked_child(_search_digest) == want
 
 
-def _send_cores(conn) -> None:
-    conn.send((field._usable_cores(), field._start_failed))
+def _send_helper_flag(conn) -> None:
+    conn.send(field._may_start_helper)
     conn.close()
 
 
 def test_forked_child_reads_its_own_core_count(monkeypatch):
-    """The core count is read once per process: the parent keeps the count
-    it holds, and a child forked from it reads the count again from its own
-    CPU affinity, with leave to start helpers again."""
-    monkeypatch.setattr(field, "_cores", 99)
-    monkeypatch.setattr(field, "_start_failed", True)
-    assert field._usable_cores() == 99
+    """The helper flag is set once per process: the parent keeps the flag
+    it holds, and a child forked from it sets the flag again from what its
+    own CPU affinity reads (this host's, then one core and 99 read in its
+    place), whatever the parent's flag, a failed start's included."""
     ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_cores, args=(sender,))
-    child.start()
-    sender.close()
-    try:
-        assert receiver.poll(60), "the forked child sent nothing within 60 s"
-        got = receiver.recv()
-    finally:
-        child.join(30)
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert child.exitcode == 0
-    assert got == (field._read_cores(), False)
-    assert field._usable_cores() == 99
+    for cores in (None, 1, 99):
+        if cores is not None:
+            monkeypatch.setattr(field, "_read_cores", lambda cores=cores: cores)
+        want = field._read_cores() > 1
+        monkeypatch.setattr(field, "_may_start_helper", not want)
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_helper_flag, args=(sender,))
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "the forked child sent nothing within 60 s"
+            got = receiver.recv()
+        finally:
+            child.join(30)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert got is want, cores
+        assert field._may_start_helper is not want
 
 
 def threads_and_splits(monkeypatch, resolution, scheme):
-    """With eight usable cores and a helper of its own, a sps set-up and a
-    200-iteration search at ``resolution``: the threads it started, the
-    block count of every split kernel call and the helper."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 8)
+    """With a helper allowed to start, and one of its own, a sps set-up and
+    a 200-iteration search at ``resolution``: the threads it started, the
+    block count ``field._block_count`` gave each caller in ``field`` (every
+    ``_split_rows`` call, ``slm._split_tiles``' among them, and
+    ``_fft_pass``' warm-up check) and the helper."""
+    monkeypatch.setattr(field, "_may_start_helper", True)
     start = threading.Thread.start
     started = []
     splits = []
@@ -523,7 +528,7 @@ def test_set_up_under_the_split_floor_starts_no_thread(monkeypatch, scheme):
     """A 128^2 sps search, under the split floor in every kernel (target,
     back-projection, quantisation, change map, sort, the replay's
     transform, and the loop's update and error), splits no block and starts
-    no thread, even with eight usable cores."""
+    no thread, even with a helper allowed to start."""
     started, splits, helper = threads_and_splits(monkeypatch, 128, scheme)
     assert started == [] and helper is None
     assert splits and all(k == 1 for k in splits)
@@ -531,7 +536,7 @@ def test_set_up_under_the_split_floor_starts_no_thread(monkeypatch, scheme):
 
 def test_split_search_starts_one_helper_on_eight_cores(monkeypatch):
     """A 512^2 sps set-up and search split every kernel in two blocks and
-    start exactly one thread, the helper, even with eight usable cores."""
+    start exactly one thread, the helper."""
     started, splits, helper = threads_and_splits(monkeypatch, 512, "binary-phase")
     assert started == [helper] and helper.daemon
     assert splits and all(k == 2 for k in splits)

@@ -414,12 +414,12 @@ SCHEMES = [ModulationScheme.from_name(name) for name in (
 
 @contextlib.contextmanager
 def forced_blocks(cores, split=True, tile=None):
-    """On ``cores`` usable cores, cut every kernel, whatever the grid size,
-    into two blocks of near-equal size from two rows on (one block with
-    ``split`` false), and quantise/change_map into tiles of ``tile``
-    elements."""
+    """On ``cores`` usable cores (a helper may start from two), cut every
+    kernel, whatever the grid size, into two blocks of near-equal size from
+    two rows on (one block with ``split`` false), and quantise/change_map
+    into tiles of ``tile`` elements."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "_usable_cores", lambda: cores)
+        mp.setattr(field, "_may_start_helper", cores > 1)
         mp.setattr(field, "_MIN_BLOCK", 1 if split else 1 << 62)
         mp.setattr(field, "_HEAD_START", 0)
         if tile is not None:
@@ -433,11 +433,12 @@ def fresh_helpers(loop=None):
     its start. With ``loop`` given, a helper started in the block runs
     ``loop(jobs)`` in place of the package's loop. A helper started in the
     block outlives it, idle on a queue nothing offers to again. A helper
-    that fails to start in the block stops no start after it."""
+    that fails to start in the block stops no start after it: the helper
+    flag it clears is restored."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "_jobs", queue.SimpleQueue())
         mp.setattr(field, "_helper", None)
-        mp.setattr(field, "_start_failed", False)
+        mp.setattr(field, "_may_start_helper", field._may_start_helper)
         if loop is not None:
             mp.setattr(field, "_help", loop)
         yield
@@ -530,10 +531,47 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
         assert np.max(np.abs(leading - full[:half_rows(height)])) <= bound
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_tiled_quantise_and_change_map_give_the_one_call_bytes(n):
+    """quantise and change_map tile every grid, under the split floor (64^2,
+    128^2) and above it (256^2), and give the bytes of one call over the
+    whole array: slm._nearest, and the magnitude of the difference. slm
+    asks field for no block count of its own."""
+    rng = np.random.default_rng(n)
+    f = 2 * random_field(rng, (n, n))
+    f.ravel()[:8] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 1j, -1 - 1j, 0.5, 1j, -1.0]
+    assert not hasattr(slm, "_block_count")
+    for scheme in SCHEMES:
+        q = quantise(f, scheme)
+        assert same_bytes(q, slm._nearest(f, scheme)), (n, scheme.name)
+        assert same_bytes(change_map(f, q), np.abs(q - f)), (n, scheme.name)
+
+
+def test_no_helper_starts_when_the_flag_is_false(monkeypatch):
+    """With the helper flag false, as on one core, a 512^2 set-up split
+    starts no thread: the caller runs both blocks and queues none."""
+    start, calls = threading.Thread.start, []
+
+    def record(thread):
+        calls.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    monkeypatch.setattr(field, "_may_start_helper", False)
+    theta = np.random.default_rng(11).uniform(-4.0, 4.0, (512, 512))
+    with fresh_helpers():
+        blocks = []
+        field._split_rows(512, 512 * 512, lambda block: blocks.append(threading.current_thread()))
+        unit_phasors(theta)
+        dft2(theta)
+        assert blocks == [threading.current_thread()] * 2
+        assert calls == [] and field._helper is None and field._jobs.empty()
+
+
 def test_split_rows_reraises_the_first_exception_of_a_worker_block(monkeypatch):
     """Both blocks run, and the first block's failure is re-raised, or else
     the second's; the split starts one daemon helper, which outlives it."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(field, "_may_start_helper", True)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     monkeypatch.setattr(field, "_HEAD_START", 0)
     for failing, error in (((0, 4), "block from 0"), ((4,), "block from 4")):
@@ -555,7 +593,7 @@ def test_split_rows_reraises_the_first_exception_of_a_worker_block(monkeypatch):
 def test_split_rows_blocks_keep_the_callers_numpy_error_state(monkeypatch):
     """A block a helper runs is under the caller's np.errstate, as block 0
     is: block 0 holds the caller until a helper has taken block 1."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_may_start_helper", True)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     monkeypatch.setattr(field, "_HEAD_START", 0)
     taken = threading.Event()
@@ -576,7 +614,7 @@ def test_split_rows_blocks_keep_the_callers_numpy_error_state(monkeypatch):
 def test_split_rows_runs_small_work_inline(monkeypatch):
     """Below two minimum blocks, or in one row, the one block runs on the
     calling thread."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(field, "_may_start_helper", True)
     threads = []
     for rows, elements in ((2 * field._MIN_BLOCK - 1, 2 * field._MIN_BLOCK - 1), (1, 1 << 30)):
         threads.clear()
@@ -592,7 +630,7 @@ def test_split_rows_gives_the_caller_a_head_start(monkeypatch):
     for rows, width in ((256, 256), (257, 512), (100, 1000), (5, 1 << 20), (2, 1 << 20), (5, 1), (7, 1)):
         bounds = []
         for cores in (1, 2, 8):
-            monkeypatch.setattr(field, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(field, "_may_start_helper", cores > 1)
             blocks = []
             field._split_rows(rows, rows * width, blocks.append)
             bounds.append(sorted((b.start, b.stop) for b in blocks))
@@ -618,7 +656,7 @@ def blocks_and_outputs(cores, f, real, n):
         split_rows(rows, elements, block)
 
     with pytest.MonkeyPatch.context() as mp, fresh_helpers():
-        mp.setattr(field, "_usable_cores", lambda: cores)
+        mp.setattr(field, "_may_start_helper", cores > 1)
         for module in (field, metrics, slm):
             mp.setattr(module, "_split_rows", record)
         got = split_kernel_outputs(f, f.real, real, n)
@@ -656,7 +694,7 @@ def test_split_kernels_leave_no_thread_behind(monkeypatch):
     persistent helper, a daemon thread, even on eight usable cores, and
     after that every split call, one that raised included, leaves the
     process the threads it had before."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(field, "_may_start_helper", True)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     rng = np.random.default_rng(6)
     f = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
@@ -684,7 +722,8 @@ def test_split_kernels_leave_no_thread_behind(monkeypatch):
 
 def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
     """With no helper able to start, the calling thread runs both blocks and
-    queues none, and after the first failed start no split tries another;
+    queues none; the first failed start clears the helper flag, and no
+    split tries another;
     once the helper has started, no split starts another thread. A kernel
     split either way keeps its bytes."""
     rng = np.random.default_rng(8)
@@ -708,6 +747,7 @@ def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
         field._split_rows(8, 8, lambda block: where.setdefault(block.start, threading.current_thread()))
         assert sorted(where) == [0, 4] and all(t is caller for t in where.values())
         assert field._helper is None and field._jobs.empty()
+        assert field._may_start_helper is False
         for _ in range(3):
             assert same_bytes(dft2(f), want)
         assert len(calls) == 1
@@ -810,7 +850,7 @@ def test_loop_kernels_give_the_bytes_of_one_block(cores, head, shape, real, rows
         assert same_bytes(np.array(errors), np.array([
             float((float(i + 3) - 2.0 * (np.abs(r[:k]).ravel() @ scored.folded.ravel()) + scored.energy) / scored.size)
             for i, r in enumerate(want[:-1])]))
-        mp.setattr(field, "_usable_cores", lambda: cores)
+        mp.setattr(field, "_may_start_helper", cores > 1)
         mp.setattr(field, "_MIN_BLOCK", 1)
         if head is not None:
             mp.setattr(field, "_HEAD_START", head)
@@ -883,7 +923,7 @@ def test_a_split_keeps_no_block_alive(monkeypatch):
     """Once a split returns, nothing holds its blocks' arrays: not a helper
     that ran a block, nor a block still queued for a helper that never took
     it off the queue."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_may_start_helper", True)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     for loop in (None, never_gets):
         with fresh_helpers(loop):
@@ -899,7 +939,7 @@ def test_a_split_keeps_no_block_alive(monkeypatch):
 def test_split_inside_a_block_completes(monkeypatch):
     """A block that splits again, on the caller or on a helper, finishes:
     the thread that offered the inner blocks runs any nobody has claimed."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_may_start_helper", True)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     monkeypatch.setattr(field, "_HEAD_START", 0)
     covered = []

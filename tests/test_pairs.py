@@ -1,11 +1,14 @@
 """The regression and gain rules of ``tools/pairs.py``, on made-up runs."""
 
+import json
 import os
+import subprocess
 import sys
 
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+import bench  # noqa: E402
 import pairs  # noqa: E402
 
 LOWER = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
@@ -70,3 +73,29 @@ def test_the_working_tree_is_staged_without_caches_or_git(tmp_path, monkeypatch)
     assert copied == ["holobench/run.py", "holobench/tests/test_holobench.py",
                       "src/holosearch/new_module.py", "src/holosearch/search.py"]
     assert (dest / "src/holosearch/search.py").read_text() == "src/holosearch/search.py"
+
+
+def test_each_side_reports_its_host_slowdown():
+    """The host slowdown of each side's runs: median, smallest, largest."""
+    pairs_ = [({"host_slowdown": b}, {"host_slowdown": c}) for b, c in ((1.0, 1.2), (1.1, 1.3), (0.9, 1.6))]
+    assert pairs.slowdowns(pairs_) == {"base": (1.0, 0.9, 1.1), "change": (1.3, 1.2, 1.6)}
+
+
+def test_an_untraced_run_keeps_its_host_slowdown(monkeypatch):
+    """bench.holobench keeps the host_speed slowdown of an untraced run's
+    report in its row, and pairs.metrics passes it on beside the metrics;
+    a traced run keeps its absent hooks instead."""
+    report = {"problems": [], "environment": {"cpu": "x"},
+              "detail": {"host_speed": {"slowdown": 1.25}, "absent_hooks": ["search.mse"]}}
+    result = {"correct": True, "metrics": {"wall_s": {"value": 2.0}}}
+
+    def run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(report, indent=1) + "\n" + json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    row, environment = bench.holobench("ab-ds-binary-512", 0)
+    assert (row["host_slowdown"], environment) == (1.25, {"cpu": "x"})
+    assert "absent_hooks" not in row
+    traced, _ = bench.holobench("ab-ds-binary-512", 1)
+    assert traced["absent_hooks"] == ["search.mse"] and "host_slowdown" not in traced
+    assert pairs.metrics("tree", "ab-ds-binary-512", 1) == {"wall_s": 2.0, "host_slowdown": 1.25}

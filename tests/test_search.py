@@ -866,7 +866,7 @@ def test_two_searches_on_two_threads_keep_their_bytes(split, monkeypatch):
     phase:8 sa run, mapped over two threads, give the serial holograms,
     accept counts, traces and errors exactly, with the loop split off and
     forced on."""
-    monkeypatch.setattr(field, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(field, "_may_start_helper", True)
     monkeypatch.setattr(field, "_MIN_BLOCK", 1 if split else 1 << 62)
     for resolution, scheme, algorithm in ((128, "binary-phase", ALGO_DS_FAST), (64, "phase:8", ALGO_SA)):
         base = ExperimentConfig(resolution=resolution, iterations=2000, algorithm=algorithm,
@@ -932,7 +932,7 @@ def test_search_bytes_do_not_follow_the_core_count(resolution, scheme, algorithm
         outcomes = []
         for cores in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp, fresh_helpers():
-                mp.setattr(field, "_usable_cores", lambda: cores)
+                mp.setattr(field, "_may_start_helper", cores > 1)
                 result = run_search(target, config, 5)
                 assert (field._helper is not None) == (cores > 1)
             outcomes.append(search_outcome(result) + (result.replay.tobytes(), result.final_mse.hex()))

@@ -58,8 +58,9 @@ def benchmark() -> dict:
 
 def holobench(workload: str, trace: int, tree: str = ROOT, seed: int = SEED) -> tuple[dict, dict]:
     """One holobench run in the checkout ``tree``: its result line, and its
-    problems and absent hooks from the report printed before that line; and
-    the environment that report describes."""
+    problems and absent hooks (traced) or host slowdown (untraced: the
+    ``host_speed`` factor its times were normalised by) from the report
+    printed before that line; and the environment that report describes."""
     cmd = ["holobench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run([sys.executable, *cmd], cwd=tree, capture_output=True, text=True)
@@ -73,6 +74,8 @@ def holobench(workload: str, trace: int, tree: str = ROOT, seed: int = SEED) -> 
     row["problems"] = report["problems"]
     if trace:
         row["absent_hooks"] = report["detail"]["absent_hooks"]
+    else:
+        row["host_slowdown"] = report["detail"]["host_speed"]["slowdown"]
     return row, report["environment"]
 
 

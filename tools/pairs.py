@@ -16,7 +16,11 @@ first in even pairs and the working tree first in odd ones.
 For every end-to-end metric that BENCHMARK.json names, it prints each side's
 median and quartiles, and in how many pairs the working tree was better
 (ties count for neither side); after that table, each side's smallest and
-largest single run, where an outlier that the quartiles hide shows. ``gain``
+largest single run, where an outlier that the quartiles hide shows; and
+last each side's median, smallest and largest host slowdown, the factor
+holobench divided the run's times by (the median time of its reference job,
+which never calls the package, over that job's nominal time), which shows
+whether the reference job itself ran differently in the two trees. ``gain``
 reads yes when the working tree won at least nine tenths of the pairs and the
 medians differ by more than the distance between the commit's quartiles.
 ``worse`` reads yes when the working tree's median is worse than the commit's
@@ -60,11 +64,12 @@ def copy_working_tree(dest: str) -> None:
 
 
 def metrics(tree: str, workload: str, seed: int) -> dict | None:
-    """Metric values of one untraced run in ``tree``, or None if it failed."""
+    """Metric values of one untraced run in ``tree``, with its
+    ``host_slowdown``, or None if it failed."""
     row, _ = holobench(workload, 0, tree, seed)
     if failed(row):
         return None
-    return {k: v["value"] for k, v in row["result"]["metrics"].items()}
+    return {**{k: v["value"] for k, v in row["result"]["metrics"].items()}, "host_slowdown": row["host_slowdown"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -94,6 +99,15 @@ def summary(metric: dict, pairs: list[tuple[dict, dict]]) -> dict:
         "bound": bound,
         "worse": ratio is not None and (ratio < 1 - bound if higher else ratio > 1 + bound),
     }
+
+
+def slowdowns(pairs: list[tuple[dict, dict]]) -> dict[str, tuple[float, float, float]]:
+    """Each side's median, smallest and largest host slowdown over the pairs."""
+    got = {}
+    for i, side in enumerate(("base", "change")):
+        values = [pair[i]["host_slowdown"] for pair in pairs]
+        got[side] = (statistics.median(values), min(values), max(values))
+    return got
 
 
 def main(argv=None) -> int:
@@ -145,6 +159,11 @@ def main(argv=None) -> int:
         base = f"[{r['base_range'][0]:.4g}, {r['base_range'][1]:.4g}]"
         change = f"[{r['change_range'][0]:.4g}, {r['change_range'][1]:.4g}]"
         print(f"{r['metric']:14s} {base:>34s} {change:>34s}")
+    if pairs:
+        print(f"{'host slowdown':14s} {'base median [smallest, largest]':>34s} "
+              f"{'change median [smallest, largest]':>34s}")
+        base, change = (f"{m:.4g} [{lo:.4g}, {hi:.4g}]" for m, lo, hi in slowdowns(pairs).values())
+        print(f"{'':14s} {base:>34s} {change:>34s}")
     for run in lost:
         print(f"failed: {run}")
     return 1 if lost or not pairs or any(r["worse"] for r in rows) else 0
