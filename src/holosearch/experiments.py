@@ -368,6 +368,6 @@ def run_render(config: ExperimentConfig) -> RenderReport:
     save_pgm(result.replay, paths["replay.pgm"], LINEAR_MAX)
     write_trace_csv(result.trace, paths["trace.csv"])
 
-    report = RenderReport(result.initial_mse, result.final_mse, result.accepted, wall, paths)
+    report = RenderReport(result.trace.initial_mse, result.final_mse, result.accepted, wall, paths)
     _write_summary(config, report)
     return report

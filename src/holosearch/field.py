@@ -346,6 +346,21 @@ def half_rows(height: int) -> int:
     return height // 2 + 1
 
 
+def reflect(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the point reflection of ``src`` through the DFT origin into
+    ``out`` and return it: ``out[v, u] = src[(-v) % Ny, (-u) % Nx]`` for
+    ``src`` of shape ``(Ny, Nx)``, over the leading rows and columns that
+    ``out`` has (at most ``Ny`` and ``Nx``). Row and column 0 map to
+    themselves, row v to row Ny - v and column u to column Nx - u: four
+    slice copies, with no temporaries."""
+    rows, cols = out.shape
+    out[0, 0] = src[0, 0]
+    out[0, 1:] = src[0, :0:-1][:cols - 1]
+    out[1:, 0] = src[:0:-1, 0][:rows - 1]
+    out[1:, 1:] = src[:0:-1, :0:-1][:rows - 1, :cols - 1]
+    return out
+
+
 def fill_mirror(replay: np.ndarray, rows: int) -> None:
     """Complete a Hermitian field in place from its first ``rows`` rows.
 

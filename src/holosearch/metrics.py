@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import _block_count, _split_rows, half_rows
+from .field import _block_count, _split_rows, half_rows, reflect
 
 
 class FoldedTarget(NamedTuple):
@@ -61,14 +61,7 @@ def fold_target(target_mag: np.ndarray, hermitian: bool = True) -> FoldedTarget:
         return FoldedTarget(np.ascontiguousarray(target_mag), energy, size)
     ny, nx = target_mag.shape
     rows = half_rows(ny)
-    folded = np.empty((rows, nx))
-    # Point reflection of rows 0 .. rows-1: row 0 maps to itself, row v to
-    # row Ny - v; column 0 maps to itself, column u to column Nx - u.
-    folded[0, 0] = target_mag[0, 0]
-    folded[0, 1:] = target_mag[0, :0:-1]
-    src = target_mag[ny - 1:ny - rows:-1]
-    folded[1:, :1] = src[:, :1]
-    folded[1:, 1:] = src[:, :0:-1]
+    folded = reflect(target_mag, np.empty((rows, nx)))
     folded += target_mag[:rows]
     folded[0] *= 0.5
     if ny % 2 == 0:

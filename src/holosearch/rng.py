@@ -30,7 +30,7 @@ STREAM_ACCEPTANCE = 3
 
 def substream(master_seed: int, stream: int) -> np.random.Generator:
     """Return the PCG64 generator for one documented sub-stream of a seed."""
-    if not isinstance(master_seed, (int, np.integer)):
+    if not isinstance(master_seed, (int, np.integer)) or isinstance(master_seed, bool):
         raise TypeError(f"master_seed must be an integer, got {type(master_seed).__name__}")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")

@@ -226,10 +226,9 @@ class SearchResult:
     ``replay`` is the engine's final replay field (incrementally maintained on
     the fast paths; for a real aperture only rows ``0 .. Ny//2`` are, and
     the rows below are mirror-filled from them, so the field is exactly
-    Hermitian);
-    ``final_mse`` matches a from-scratch transform of
+    Hermitian); ``final_mse`` matches a from-scratch transform of
     ``hologram`` to well within the drift bound, and ``hologram`` holds only
-    values the scheme allows.
+    values the scheme allows. The start error is ``trace.initial_mse``.
     """
 
     hologram: np.ndarray
@@ -237,7 +236,6 @@ class SearchResult:
     trace: ConvergenceTrace
     accepted: int
     final_mse: float
-    initial_mse: float
 
 
 def _default_schedule(initial_mse: float, n_pixels: int) -> tuple[float, float]:
@@ -310,12 +308,11 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
         return fresh, mse(scored, leading, energy=fresh)
 
     energy, current_mse = refresh()
-    initial_mse = current_mse
 
     annealing = config.algorithm == ALGO_SA
     t_coeff, t0 = config.t_coeff, config.t0
     if annealing and t_coeff is None:
-        t_coeff, t0 = _default_schedule(initial_mse, width * height)
+        t_coeff, t0 = _default_schedule(current_mse, width * height)
     # A rejected candidate stays in the replay until the next update takes it
     # back out in the same pass.
     pending = None
@@ -353,7 +350,7 @@ def run_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchRe
         revert(replay, pending)
     if real:
         fill_mirror(replay, rows)
-    return SearchResult(hologram, replay, trace, accepted, current_mse, initial_mse)
+    return SearchResult(hologram, replay, trace, accepted, current_mse)
 
 
 def _naive_search(target: TargetImage, config: SearchConfig, seed: int) -> SearchResult:
@@ -365,7 +362,7 @@ def _naive_search(target: TargetImage, config: SearchConfig, seed: int) -> Searc
     select_rng = substream(seed, STREAM_SELECTION)
     proposal_rng = substream(seed, STREAM_PROPOSAL)
     height, width = target.shape
-    current_mse = initial_mse = mse(target.mag, replay)
+    current_mse = mse(target.mag, replay)
     trace = ConvergenceTrace()
     trace.append(0, current_mse, 0)
     accepted = 0
@@ -382,4 +379,4 @@ def _naive_search(target: TargetImage, config: SearchConfig, seed: int) -> Searc
             hologram[y, x] = old_value
         if it % config.trace_stride == 0 or it == config.iterations:
             trace.append(it, current_mse, accepted)
-    return SearchResult(hologram, replay, trace, accepted, current_mse, initial_mse)
+    return SearchResult(hologram, replay, trace, accepted, current_mse)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import _fft_pass, half_rows, unit_phasors
+from .field import _fft_pass, half_rows, reflect, unit_phasors
 
 # Fixed generator seed for the synthetic texture; part of what makes builtin
 # targets byte-identical run to run on one numpy build and CPU. Across builds
@@ -91,7 +91,7 @@ def induce_symmetry(img: TargetImage) -> TargetImage:
     conjugate-symmetric about the origin, so only targets with this symmetry
     are reachable. Idempotent; never darkens a pixel.
     """
-    return TargetImage(np.maximum(img.mag, np.roll(img.mag[::-1, ::-1], 1, axis=(0, 1))))
+    return TargetImage(np.maximum(img.mag, reflect(img.mag, np.empty_like(img.mag))))
 
 
 def resample_nearest(img: TargetImage, height: int, width: int) -> TargetImage:
@@ -128,23 +128,16 @@ def synthetic_mandrill(size: int) -> TargetImage:
     # H[v, u] = (S[v, u] + conj(S[-v, -u])) / 2, of which only columns
     # 0 .. size//2 are formed. amp[-v, -u] == amp[v, u]: fftfreq is exactly
     # antisymmetric, f[size - k] == -f[k], and hypot ignores signs. So amp is
-    # computed on rows and columns 0 .. size//2, mirrored into the other
-    # rows, and carries the 1/2.
+    # computed on rows and columns 0 .. size//2, its row v taken from row
+    # min(v, size - v), and carries the 1/2.
     h = half_rows(size)
     fq = np.fft.fftfreq(size)[:h]
-    amp = np.empty((size, h))
-    amp[:h] = (np.hypot(fq[:, None], fq[None, :]) + 1.0 / size) ** -1.2
-    amp[h:] = amp[size - h:0:-1]
+    k = np.arange(size)
+    amp = ((np.hypot(fq[:, None], fq[None, :]) + 1.0 / size) ** -1.2)[np.minimum(k, size - k)]
     amp[0, 0] = 0.0  # flat offset added back by the [0, 1] rescale
     amp *= 0.5
     phasors = unit_phasors(2 * np.pi * rng.random((size, size)))
-    # Point reflection of columns 0 .. h-1: row 0 maps to itself, row v to
-    # row size - v; column 0 maps to itself, column u to column size - u.
-    herm = np.empty((size, h), dtype=np.complex128)
-    herm[0, 0] = phasors[0, 0]
-    herm[0, 1:] = phasors[0, size - 1:size - h:-1]
-    herm[1:, 0] = phasors[:0:-1, 0]
-    herm[1:, 1:] = phasors[:0:-1, size - 1:size - h:-1]
+    herm = reflect(phasors, np.empty((size, h), dtype=np.complex128))
     np.conjugate(herm, out=herm)
     herm += phasors[:, :h]
     herm *= amp

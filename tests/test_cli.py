@@ -16,6 +16,7 @@ from holosearch.cli import _OPTIONS, _SUBCOMMANDS, build_parser, config_from_arg
 from holosearch.experiments import ExperimentConfig, run_render
 from holosearch.pgm import load_pgm
 from holosearch.slm import ModulationScheme
+from test_field import HELPER_STATES, switched
 
 
 def run_cli(args):
@@ -63,20 +64,21 @@ def test_output_bytes_do_not_follow_blas_threads(tmp_path):
 
 @pytest.mark.parametrize("scheme", ["binary-phase", "phase:cont"])
 def test_output_bytes_do_not_follow_the_core_count(tmp_path, monkeypatch, scheme):
-    """A render on one core, where the caller runs both blocks of every
-    split, writes what a render on three writes, where the helper takes
-    some. At 128^2 the grid is under the split floor, so the floor is
-    lowered to split it."""
+    """A render with the helper switch off, as on one core, where the caller
+    runs both blocks of every split, writes what a render with it on writes,
+    where the helper takes some, and one with a stalled helper, which
+    leaves them all to the caller. At 128^2 the grid is under the split
+    floor, so the floor is lowered to split it."""
     monkeypatch.setattr(field, "_MIN_BLOCK", 1024)
     written = {}
-    for cores in (1, 3):
-        monkeypatch.setattr(field, "_may_start_helper", cores > 1)
-        out = tmp_path / f"cores-{cores}"
-        run_render(ExperimentConfig(resolution=128, iterations=500, selection="sps",
-                                    scheme=ModulationScheme.from_name(scheme), out_dir=str(out)))
-        written[cores] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "summary.txt"}
-    assert sorted(written[1]) == ["hologram.pgm", "replay.pgm", "trace.csv"]
-    assert written[1] == written[3]
+    for state in HELPER_STATES:
+        out = tmp_path / state
+        with switched(state):
+            run_render(ExperimentConfig(resolution=128, iterations=500, selection="sps",
+                                        scheme=ModulationScheme.from_name(scheme), out_dir=str(out)))
+        written[state] = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "summary.txt"}
+    assert sorted(written["off"]) == ["hologram.pgm", "replay.pgm", "trace.csv"]
+    assert written["off"] == written["on"] == written["stalled"]
 
 
 def test_scatter_end_to_end(tmp_path, capsys):

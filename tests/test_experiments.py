@@ -534,7 +534,7 @@ def test_set_up_under_the_split_floor_starts_no_thread(monkeypatch, scheme):
     assert splits and all(k == 1 for k in splits)
 
 
-def test_split_search_starts_one_helper_on_eight_cores(monkeypatch):
+def test_split_search_starts_one_helper(monkeypatch):
     """A 512^2 sps set-up and search split every kernel in two blocks and
     start exactly one thread, the helper."""
     started, splits, helper = threads_and_splits(monkeypatch, 512, "binary-phase")

@@ -5,11 +5,13 @@ kept deliberately slow and independent of any FFT library.
 """
 
 import contextlib
+import functools
 import gc
 import math
 import queue
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -25,6 +27,7 @@ from holosearch.field import (
     fill_mirror,
     half_rows,
     idft2,
+    reflect,
     revert,
     unit_phasors,
 )
@@ -406,20 +409,58 @@ def test_fill_mirror_completes_real_aperture_replay(shape):
     assert np.max(np.abs(filled - replay)) < 1e-12
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(height=st.integers(2, 40), width=st.integers(2, 40), complex_=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_reflect_is_the_point_reflection_over_every_leading_block(height, width, complex_, seed):
+    """reflect writes, into every leading block of the grid (one row and
+    one column among them), what np.roll of the flipped source holds there,
+    and returns the array it was given."""
+    rng = np.random.default_rng(seed)
+    src = random_field(rng, (height, width)) if complex_ else rng.standard_normal((height, width))
+    want = np.roll(src[::-1, ::-1], 1, axis=(0, 1))
+    for rows in range(1, height + 1):
+        for cols in range(1, width + 1):
+            out = np.empty((rows, cols), dtype=src.dtype)
+            assert reflect(src, out) is out
+            assert same_bytes(out, want[:rows, :cols]), (rows, cols)
+
+
 # ------------------------------------------------------------- row blocks
 
 SCHEMES = [ModulationScheme.from_name(name) for name in (
     "binary-phase", "binary-amplitude", "phase:3", "phase:8", "amplitude:5", "phase:cont", "amplitude:cont")]
 
 
+# The states of the helper switch, ``field._may_start_helper``, the one thing
+# the split reads of the machine: see :func:`switched`.
+HELPER_STATES = ["off", "on", "stalled"]
+
+
 @contextlib.contextmanager
-def forced_blocks(cores, split=True, tile=None):
-    """On ``cores`` usable cores (a helper may start from two), cut every
+def switched(state):
+    """The helper switch in ``state``: "off", with no helper, so the caller
+    runs every block; "on", with the process's helper, started by the first
+    split that needs it; "stalled", on, with a helper that takes every
+    offered block and claims none, so the caller again runs them all."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_may_start_helper", state != "off")
+        if state == "off":
+            mp.setattr(field, "_helper", None)
+        elif state == "stalled":
+            jobs, helper = stalled_helper()
+            mp.setattr(field, "_jobs", jobs)
+            mp.setattr(field, "_helper", helper)
+        yield
+
+
+@contextlib.contextmanager
+def forced_blocks(state, split=True, tile=None):
+    """With the helper switch in ``state`` (:func:`switched`), cut every
     kernel, whatever the grid size, into two blocks of near-equal size from
     two rows on (one block with ``split`` false), and quantise/change_map
     into tiles of ``tile`` elements."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(field, "_may_start_helper", cores > 1)
+    with switched(state), pytest.MonkeyPatch.context() as mp:
         mp.setattr(field, "_MIN_BLOCK", 1 if split else 1 << 62)
         mp.setattr(field, "_HEAD_START", 0)
         if tile is not None:
@@ -449,6 +490,17 @@ def stalled(jobs):
     claims one, as a helper busy elsewhere would."""
     while True:
         jobs.get()
+
+
+@functools.lru_cache(maxsize=None)
+def stalled_helper():
+    """The queue and thread of one helper running :func:`stalled`, shared by
+    every test that switches to it: a helper stays alive, idle, for the
+    whole process, so none is started per test or per example."""
+    jobs = queue.SimpleQueue()
+    helper = threading.Thread(target=stalled, args=(jobs,), daemon=True)
+    helper.start()
+    return jobs, helper
 
 
 def never_gets(jobs):
@@ -496,8 +548,8 @@ def split_kernel_outputs(f, theta, real, size):
 @given(height=st.integers(2, 40), width=st.integers(2, 40), size=st.integers(2, 40),
        seed=st.integers(0, 2**32 - 1))
 def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
-    """Each kernel gives the same bytes in one block and in two, on 1, 2
-    and 8 usable cores, with quantise and change_map also cut into
+    """Each kernel gives the same bytes in one block and in two, with the
+    helper off, on and stalled, with quantise and change_map also cut into
     3-element tiles, for odd and even shapes. Zeros of both signs and exact phase ties
     are among the quantised values. dft2(rows=) stays the leading rows of
     the whole transform in every block count. One block gives the bytes of
@@ -510,7 +562,7 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
     f.ravel()[:len(special)] = special[:f.size]
     theta = rng.uniform(-8.0, 8.0, (height, width))
     real = rng.standard_normal((height, width))
-    with forced_blocks(1, split=False):
+    with forced_blocks("off", split=False):
         want = split_kernel_outputs(f, theta, real, size)
     rfftn = np.fft.rfftn(real, axes=(1, 0), norm="ortho")
     assert same_bytes(want["dft2"], np.fft.fft2(f, norm="ortho"))
@@ -520,14 +572,14 @@ def test_split_kernels_give_the_bytes_of_one_block(height, width, size, seed):
     assert same_bytes(want["dft2 out="], want["dft2"])
     assert same_bytes(want["dft2 rows out="], want["dft2 rows"])
     bound = 1e-12 * np.linalg.norm(real)
-    for k in (1, 2, 8):
-        with forced_blocks(k, tile=3):
+    for state in HELPER_STATES:
+        with forced_blocks(state, tile=3):
             got = split_kernel_outputs(f, theta, real, size)
             leading = dft2(real, rows=half_rows(height))
             full = dft2(real)
         for name in want:
-            assert same_bytes(got[name], want[name]), (k, name)
-            assert type(got[name]) is type(want[name]), (k, name)
+            assert same_bytes(got[name], want[name]), (state, name)
+            assert type(got[name]) is type(want[name]), (state, name)
         assert np.max(np.abs(leading - full[:half_rows(height)])) <= bound
 
 
@@ -625,15 +677,25 @@ def test_split_rows_runs_small_work_inline(monkeypatch):
 def test_split_rows_gives_the_caller_a_head_start(monkeypatch):
     """Every split cuts two blocks, block 0 _HEAD_START elements larger
     than block 1 (to a row), and neither left empty, with bounds that are
-    the same on 1, 2 and 8 usable cores."""
+    the same with the helper off, on and stalled; off or stalled, the
+    caller runs both."""
     monkeypatch.setattr(field, "_MIN_BLOCK", 1)
     for rows, width in ((256, 256), (257, 512), (100, 1000), (5, 1 << 20), (2, 1 << 20), (5, 1), (7, 1)):
         bounds = []
-        for cores in (1, 2, 8):
-            monkeypatch.setattr(field, "_may_start_helper", cores > 1)
-            blocks = []
-            field._split_rows(rows, rows * width, blocks.append)
+        for state in HELPER_STATES:
+            blocks, threads = [], set()
+
+            def record(block):
+                if block.start == 0:
+                    time.sleep(0.01)  # time for a helper that claims blocks to take block 1
+                blocks.append(block)
+                threads.add(threading.current_thread())
+
+            with switched(state):
+                field._split_rows(rows, rows * width, record)
             bounds.append(sorted((b.start, b.stop) for b in blocks))
+            if state != "on":
+                assert threads == {threading.current_thread()}, state
         assert bounds[0] == bounds[1] == bounds[2]
         (start, mid), (_, stop) = bounds[0]
         assert start == 0 and stop == rows and 1 <= mid < rows
@@ -641,10 +703,10 @@ def test_split_rows_gives_the_caller_a_head_start(monkeypatch):
         assert abs(mid - head - (rows - mid)) <= 1
 
 
-def blocks_and_outputs(cores, f, real, n):
-    """On ``cores`` usable cores, with a helper of its own: the blocks every
-    split kernel cuts, as sorted (rows, elements, start, stop), what the
-    kernels return, and whether a helper started."""
+def blocks_and_outputs(state, f, real, n):
+    """With the helper switch in ``state`` and, when on, a helper of its
+    own: the blocks every split kernel cuts, as sorted (rows, elements,
+    start, stop), what the kernels return, and the helper, if any."""
     bounds, lock, split_rows = [], threading.Lock(), field._split_rows
 
     def record(rows, elements, fn):
@@ -655,43 +717,45 @@ def blocks_and_outputs(cores, f, real, n):
 
         split_rows(rows, elements, block)
 
-    with pytest.MonkeyPatch.context() as mp, fresh_helpers():
-        mp.setattr(field, "_may_start_helper", cores > 1)
+    with pytest.MonkeyPatch.context() as mp, fresh_helpers(), switched(state):
         for module in (field, metrics, slm):
             mp.setattr(module, "_split_rows", record)
         got = split_kernel_outputs(f, f.real, real, n)
         got["loop"] = loop_kernel_outputs(dft2(f), f, False, "all")
         got["loop half"] = loop_kernel_outputs(dft2(real), real, True, "half")
-        return sorted(bounds), got, field._helper is not None
+        return sorted(bounds), got, field._helper
 
 
 def test_every_kernels_block_bounds_follow_the_grid_alone():
     """At the real floor, the blocks each split kernel cuts (set-up and
     loop kernels on a 256^2 grid, which split, and on a 128^2 one, which do
-    not) are the same on 1, 2 and 8 usable cores, and so are the bytes. A
-    helper starts only on a split with more than one core."""
+    not) are the same with the helper off, on and stalled, and so are the
+    bytes. With the switch on, a helper starts only on a split."""
     rng = np.random.default_rng(5)
     for n in (256, 128):
         f = random_field(rng, (n, n))
         real = rng.standard_normal((n, n))
-        bounds, want, helped = blocks_and_outputs(1, f, real, n)
-        assert not helped
+        bounds, want, helper = blocks_and_outputs("off", f, real, n)
+        assert helper is None
         assert any(stop < rows for rows, _, _, stop in bounds) == (n == 256)
-        for cores in (2, 8):
-            got_bounds, got, helped = blocks_and_outputs(cores, f, real, n)
-            assert got_bounds == bounds, (n, cores)
-            assert helped == (n == 256), (n, cores)
+        for state in ("on", "stalled"):
+            got_bounds, got, helper = blocks_and_outputs(state, f, real, n)
+            assert got_bounds == bounds, (n, state)
+            if state == "on":
+                assert (helper is not None) == (n == 256), n
+            else:
+                assert helper is stalled_helper()[1]
             for name in ("loop", "loop half"):
                 (replays, errors), (want_replays, want_errors) = got.pop(name), want[name]
-                assert errors == want_errors, (n, cores, name)
-                assert all(same_bytes(a, b) for a, b in zip(replays, want_replays)), (n, cores, name)
+                assert errors == want_errors, (n, state, name)
+                assert all(same_bytes(a, b) for a, b in zip(replays, want_replays)), (n, state, name)
             for name in got:
-                assert same_bytes(got[name], want[name]), (n, cores, name)
+                assert same_bytes(got[name], want[name]), (n, state, name)
 
 
 def test_split_kernels_leave_no_thread_behind(monkeypatch):
     """A split starts no thread of its own: the first one starts the one
-    persistent helper, a daemon thread, even on eight usable cores, and
+    persistent helper, a daemon thread, and
     after that every split call, one that raised included, leaves the
     process the threads it had before."""
     monkeypatch.setattr(field, "_may_start_helper", True)
@@ -728,7 +792,7 @@ def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
     split either way keeps its bytes."""
     rng = np.random.default_rng(8)
     f = rng.standard_normal((12, 10)) + 1j * rng.standard_normal((12, 10))
-    with forced_blocks(1, split=False):
+    with forced_blocks("off", split=False):
         want = dft2(f)
     start = threading.Thread.start
     calls = []
@@ -742,7 +806,7 @@ def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start_unless_failing)
     caller = threading.current_thread()
     failing = True
-    with forced_blocks(8), fresh_helpers():
+    with forced_blocks("on"), fresh_helpers():
         where = {}
         field._split_rows(8, 8, lambda block: where.setdefault(block.start, threading.current_thread()))
         assert sorted(where) == [0, 4] and all(t is caller for t in where.values())
@@ -753,7 +817,7 @@ def test_split_rows_runs_blocks_inline_when_a_thread_cannot_start(monkeypatch):
         assert len(calls) == 1
     failing = False
     calls.clear()
-    with forced_blocks(8), fresh_helpers():
+    with forced_blocks("on"), fresh_helpers():
         assert same_bytes(dft2(f), want)
         assert field._helper is calls[0]
         where = {}
@@ -828,14 +892,15 @@ def assert_loop_outputs(got, want_replays, holo, rows_kind):
 
 
 @pytest.mark.parametrize("head", [0, None])
-@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("state", HELPER_STATES)
 @settings(derandomize=True, deadline=None, max_examples=12, database=None)
 @given(shape=st.sampled_from(LOOP_SHAPES), real=st.booleans(), rows_kind=st.sampled_from(["all", "half", "one"]),
        tile=st.sampled_from([16, 24, 48, 1 << 19]), seed=st.integers(0, 2**32 - 1))
-def test_loop_kernels_give_the_bytes_of_one_block(cores, head, shape, real, rows_kind, tile, seed):
+def test_loop_kernels_give_the_bytes_of_one_block(state, head, shape, real, rows_kind, tile, seed):
     """delta_update (all rows, the half plane, one row; with and without
-    undo=) and revert give the bytes of one block when split in two, on 1, 2
-    or 3 usable cores, with near-equal blocks or the caller's head start;
+    undo=) and revert give the bytes of one block when split in two, with
+    the helper off, on or stalled, with near-equal blocks or the caller's
+    head start;
     the split energy-form mse gives the bytes of the two-block formula
     computed inline at the same bounds, and one block the one dot. Tiles of
     a few rows put merged last rows and one-row blocks in the split."""
@@ -850,11 +915,11 @@ def test_loop_kernels_give_the_bytes_of_one_block(cores, head, shape, real, rows
         assert same_bytes(np.array(errors), np.array([
             float((float(i + 3) - 2.0 * (np.abs(r[:k]).ravel() @ scored.folded.ravel()) + scored.energy) / scored.size)
             for i, r in enumerate(want[:-1])]))
-        mp.setattr(field, "_may_start_helper", cores > 1)
         mp.setattr(field, "_MIN_BLOCK", 1)
         if head is not None:
             mp.setattr(field, "_HEAD_START", head)
-        assert_loop_outputs(loop_kernel_outputs(replay, holo, real, rows_kind), want, holo, rows_kind)
+        with switched(state):
+            assert_loop_outputs(loop_kernel_outputs(replay, holo, real, rows_kind), want, holo, rows_kind)
 
 
 def test_stalled_helper_leaves_every_block_to_the_caller(monkeypatch):
@@ -864,10 +929,10 @@ def test_stalled_helper_leaves_every_block_to_the_caller(monkeypatch):
     rng = np.random.default_rng(9)
     f = random_field(rng, (12, 10))
     holo = rng.standard_normal((12, 10))
-    with forced_blocks(1, split=False):
+    with forced_blocks("off", split=False):
         want = split_kernel_outputs(f, f.real, holo, 12)
     want_replays, _ = loop_kernel_outputs(dft2(holo), holo, True, "half")
-    with forced_blocks(8), fresh_helpers(stalled):
+    with forced_blocks("on"), fresh_helpers(stalled):
         callers, where, got = [], set(), {}
 
         def split():
@@ -886,8 +951,8 @@ def test_stalled_helper_leaves_every_block_to_the_caller(monkeypatch):
 
 def test_split_loop_kernels_under_thread_stress(monkeypatch):
     """Four threads, more than the cores, each run updates and errors on a
-    replay of their own, every call split in two blocks on three usable
-    cores, with the interpreter switching threads every few microseconds:
+    replay of their own, every call split in two blocks with the helper on,
+    with the interpreter switching threads every few microseconds:
     each ends with the bytes it gets alone, and the replays with those of
     one block. Some of the split errors differ from the unsplit ones in
     their last bits, so the two-block formula is the one checked."""
@@ -895,7 +960,7 @@ def test_split_loop_kernels_under_thread_stress(monkeypatch):
     holos = [random_field(rng, (48, 40)) for _ in range(4)]
     unsplit = [loop_kernel_outputs(dft2(h), h, False, "all") for h in holos]
     got = [None] * 4
-    with forced_blocks(3):
+    with forced_blocks("on"):
         want = [loop_kernel_outputs(dft2(h), h, False, "all") for h in holos]
         def work(i):
             for _ in range(40):

@@ -37,7 +37,7 @@ from holosearch.search import (
 )
 from holosearch.slm import ModulationScheme, change_map, is_allowed, propose_value, quantise
 from holosearch.targets import TargetImage, normalize_energy, synthetic_bars, synthetic_mandrill
-from test_field import forced_blocks, fresh_helpers, same_bytes
+from test_field import HELPER_STATES, forced_blocks, fresh_helpers, same_bytes, switched
 
 BINARY_PHASE = ModulationScheme("phase", 2)
 
@@ -435,7 +435,7 @@ def test_direct_search_zero_iterations():
     t = small_target()
     res = run_search(t, SearchConfig(iterations=0, scheme=BINARY_PHASE), seed=0)
     assert res.accepted == 0
-    assert res.final_mse == res.initial_mse
+    assert res.final_mse == res.trace.initial_mse
     assert res.trace.samples[0].iteration == 0
     assert res.trace.final_iteration == 0
     # the zero-iteration hologram is just the quantised back-projection
@@ -448,7 +448,7 @@ def test_direct_search_monotone_and_consistent():
     res = run_search(t, cfg, seed=1)
     mses = [s.mse for s in res.trace.samples]
     assert all(a >= b - 1e-15 for a, b in zip(mses, mses[1:]))
-    assert res.final_mse <= res.initial_mse
+    assert res.final_mse <= res.trace.initial_mse
     # reported error agrees with a from-scratch replay of the hologram
     fresh = mse(t.mag, dft2(res.hologram))
     assert abs(res.final_mse - fresh) / fresh < 1e-9
@@ -579,7 +579,7 @@ def test_sa_default_schedule_matches_explicit():
     t = small_target()
     implicit = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA), seed=8)
-    e0 = implicit.initial_mse
+    e0 = implicit.trace.initial_mse
     explicit = run_search(t, SearchConfig(
         iterations=300, scheme=BINARY_PHASE, algorithm=ALGO_SA,
         t_coeff=8.0 * e0 / 256, t0=6.0), seed=8)
@@ -648,7 +648,7 @@ def test_sa_default_schedule_at_zero_error_stays_greedy(monkeypatch):
     mag[0, 0] = 16.0
     res = run_search(TargetImage(mag), SearchConfig(
         iterations=200, scheme=BINARY_PHASE, algorithm=ALGO_SA), seed=0)
-    assert res.initial_mse == 0.0
+    assert res.trace.initial_mse == 0.0
     assert res.accepted == 0
     assert temps[0] == 0.0
 
@@ -697,7 +697,7 @@ def test_sa_matches_full_transform_reference(family, selection, height, width, l
     scheme = ModulationScheme.from_name(family if family.startswith("binary") else f"{family}:{levels}")
     rng = np.random.default_rng(seed)
     t = normalize_energy(TargetImage(rng.random((height, width)) + 0.05))
-    start_mse = run_search(t, SearchConfig(iterations=0, scheme=scheme, selection=selection), seed).initial_mse
+    start_mse = run_search(t, SearchConfig(iterations=0, scheme=scheme, selection=selection), seed).trace.initial_mse
     config = SearchConfig(iterations=150, scheme=scheme, algorithm=ALGO_SA, selection=selection,
                           t_coeff=heat * 8.0 * start_mse / t.mag.size, t0=6.0, trace_stride=1)
     streams = []
@@ -848,14 +848,14 @@ def test_run_search_other_schemes():
         res = run_search(t, SearchConfig(
             iterations=100, scheme=scheme), seed=12)
         assert is_allowed(res.hologram, scheme)
-        assert res.final_mse <= res.initial_mse
+        assert res.final_mse <= res.trace.initial_mse
 
 
 # ------------------------------------------------------ threads and blocks
 
 
 def search_outcome(result):
-    return (result.hologram.tobytes(), result.accepted, result.final_mse, result.initial_mse,
+    return (result.hologram.tobytes(), result.accepted, result.final_mse,
             [tuple(sample) for sample in result.trace.samples])
 
 
@@ -880,9 +880,9 @@ def test_two_searches_on_two_threads_keep_their_bytes(split, monkeypatch):
 
 
 def assert_errors_close(got, want, rel=1e-14):
-    """Initial, final and traced errors within ``rel`` relative, with the
-    trace's iterations and accept counts equal."""
-    assert got.initial_mse == pytest.approx(want.initial_mse, rel=rel, abs=0)
+    """Final and traced errors, the start error of sample 0 among them,
+    within ``rel`` relative, with the trace's iterations and accept counts
+    equal."""
     assert got.final_mse == pytest.approx(want.final_mse, rel=rel, abs=0)
     assert len(got.trace.samples) == len(want.trace.samples)
     for a, b in zip(got.trace.samples, want.trace.samples):
@@ -890,10 +890,10 @@ def assert_errors_close(got, want, rel=1e-14):
         assert a.mse == pytest.approx(b.mse, rel=rel, abs=0)
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
-def test_split_search_gives_the_inline_bytes(cores):
+@pytest.mark.parametrize("state", HELPER_STATES)
+def test_split_search_gives_the_inline_bytes(state):
     """A 64^2 sps ds-fast search and a 64^2 phase:8 sa search, with every
-    kernel split in two blocks on 1, 2 or 3 usable cores, give the
+    kernel split in two blocks and the helper off, on or stalled, give the
     hologram, accept count and replay bytes of the search run inline; their
     errors, whose dot products the split sums in two parts, agree to 1e-14
     relative."""
@@ -903,7 +903,7 @@ def test_split_search_gives_the_inline_bytes(cores):
                                scheme=ModulationScheme.from_name(scheme), symmetry=True)
         target = prepare_target(cfg)
         want = run_search(target, cfg.search_config(), 3)
-        with forced_blocks(cores):
+        with forced_blocks(state):
             got = run_search(target, cfg.search_config(), 3)
         assert same_bytes(got.hologram, want.hologram)
         assert got.accepted == want.accepted
@@ -915,13 +915,12 @@ def test_split_search_gives_the_inline_bytes(cores):
     (256, "phase:8", ALGO_SA, 300),
     (512, "binary-phase", ALGO_DS_FAST, 200),
 ])
-def test_search_bytes_do_not_follow_the_core_count(resolution, scheme, algorithm, iterations):
+def test_search_bytes_do_not_follow_the_helper_switch(resolution, scheme, algorithm, iterations):
     """At the shapes of the benchmark's two A/B workloads, where the loop
     kernels split at the floor (a 256^2 complex aperture, a 512^2 real
-    aperture's half-plane), searches on 1, 2 and 3 usable cores, each with
-    a helper of its own, give the same hologram, replay, trace and final
-    error bytes, under both selections; the helper starts on more than one
-    core."""
+    aperture's half-plane), searches with the helper off, on (with a helper
+    of its own, which the search starts) and stalled give the same
+    hologram, replay, trace and final error bytes, under both selections."""
     cfg = ExperimentConfig(resolution=resolution, iterations=iterations, algorithm=algorithm,
                            scheme=ModulationScheme.from_name(scheme))
     target = prepare_target(cfg)
@@ -930,11 +929,10 @@ def test_search_bytes_do_not_follow_the_core_count(resolution, scheme, algorithm
     for selection in SELECTIONS:
         config = dataclasses.replace(cfg, selection=selection).search_config()
         outcomes = []
-        for cores in (1, 2, 3):
-            with pytest.MonkeyPatch.context() as mp, fresh_helpers():
-                mp.setattr(field, "_may_start_helper", cores > 1)
+        for state in HELPER_STATES:
+            with fresh_helpers(), switched(state):
                 result = run_search(target, config, 5)
-                assert (field._helper is not None) == (cores > 1)
+                assert (field._helper is not None) == (state != "off")
             outcomes.append(search_outcome(result) + (result.replay.tobytes(), result.final_mse.hex()))
         assert outcomes[0] == outcomes[1] == outcomes[2], selection
 
